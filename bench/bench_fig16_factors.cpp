@@ -8,6 +8,7 @@
 // batch through the shared thread pool (benchutil span helpers).
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -107,7 +108,9 @@ int main() {
             });
             const double blink = benchutil::mean_accuracy(
                 std::span<const sim::ScenarioConfig>(scenarios));
-            table.add_row({"S" + std::to_string(s + 1),
+            std::string label = "S";
+            label += std::to_string(s + 1);
+            table.add_row({label,
                            eval::fmt(widths[s] * 100, 1) + " x " +
                                eval::fmt(heights[s] * 100, 1),
                            eval::fmt(100.0 * blink, 1)});

@@ -11,7 +11,12 @@ namespace blinkradar::core {
 namespace {
 
 constexpr std::uint32_t kTagConfigs = state::make_tag("FRCF");
+// v2 appended a frame-path byte from the time the pipeline had two
+// numerically different frame paths. Only byte 1 (the structure-of-arrays
+// path) remains; v1 dumps and byte 0 came from the removed interleaved
+// path, whose arithmetic a replay can no longer reproduce.
 constexpr std::uint16_t kConfigsVersion = 2;
+constexpr std::uint8_t kFramePathByte = 1;
 
 /// Bit-pattern double equality: replay verification must distinguish
 /// -0.0 from 0.0 and treat NaN == NaN (a repeated NaN is *correct*
@@ -76,20 +81,19 @@ void save_flight_configs(state::StateWriter& writer,
     writer.write_f64(pipeline.guard.degraded_fault_rate);
     writer.write_u64(pipeline.guard.lost_after_quarantines);
 
-    // v2: the resolved DSP path, so replay rebuilds the pipeline on the
-    // same per-frame arithmetic that produced the recording.
-    writer.write_u8(static_cast<std::uint8_t>(pipeline.dsp_path));
+    writer.write_u8(kFramePathByte);
 
     writer.end_section();
 }
 
 FlightConfigs load_flight_configs(state::StateReader& reader) {
     const std::uint16_t version = reader.open_section(kTagConfigs);
-    if (version > kConfigsVersion)
+    if (version != kConfigsVersion)
         throw state::SnapshotError(
             "FRCF: dump section version " + std::to_string(version) +
-            " is newer than this build supports (" +
-            std::to_string(kConfigsVersion) + ")");
+            " is not supported (this build reads only v" +
+            std::to_string(kConfigsVersion) +
+            "; v1 dumps came from the removed interleaved frame path)");
     FlightConfigs c;
 
     c.radar.carrier_hz = reader.read_f64();
@@ -142,11 +146,13 @@ FlightConfigs load_flight_configs(state::StateReader& reader) {
     c.pipeline.guard.degraded_fault_rate = reader.read_f64();
     c.pipeline.guard.lost_after_quarantines = reader.read_size();
 
-    // v1 dumps predate the DSP-path choice; they were recorded by the
-    // scalar-only build.
-    c.pipeline.dsp_path =
-        version >= 2 ? static_cast<DspPath>(reader.read_u8())
-                     : DspPath::kScalar;
+    const std::uint8_t path = reader.read_u8();
+    if (path != kFramePathByte)
+        throw state::SnapshotError(
+            "FRCF: dump frame-path byte is " + std::to_string(path) +
+            ", expected " + std::to_string(kFramePathByte) +
+            "; byte 0 dumps came from the removed interleaved frame path"
+            " and cannot be replayed");
 
     reader.close_section();
     return c;

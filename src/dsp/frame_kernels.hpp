@@ -14,9 +14,7 @@
 // layout (element j always lands in partial sum j mod 4, independent of
 // the vector width); the AVX2 FFT butterfly is lane-for-lane the scalar
 // butterfly. The backend choice (BLINKRADAR_SIMD_BACKEND) is therefore a
-// pure speed knob — only the pipeline-level *path* choice (scalar AoS
-// code vs these SoA kernels, see core::DspPath) changes results, because
-// the SoA path fuses stages and caps the bin-selection candidate list.
+// pure speed knob: the pipeline's results do not depend on it.
 #pragma once
 
 #include <cstddef>

@@ -35,7 +35,8 @@ std::vector<DriverProfile> sample_participants(std::size_t n, Rng& rng) {
     out.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         DriverProfile p;
-        p.id = "P" + std::to_string(i + 1);
+        p.id = "P";
+        p.id += std::to_string(i + 1);
         // Alert rates cluster around 18-22/min, drowsy around 24-30/min
         // (Table I); keep a guaranteed gap so the states are separable,
         // as the paper's own data shows.

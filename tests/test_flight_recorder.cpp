@@ -189,6 +189,35 @@ TEST(FlightRecorder, ConfigRoundTripsThroughTheDump) {
     EXPECT_EQ(dump.flight.reason, "cfg_round_trip");
 }
 
+TEST(FlightRecorder, LegacyFramePathDumpIsRejected) {
+    // FRCF v2 ends with a frame-path byte. Only byte 1 (the
+    // structure-of-arrays path) is replayable; byte 0 and v1 dumps came
+    // from the removed interleaved path.
+    obs::FlightRecorder rec(small_config());
+    rec.begin_frame(tiny_frame(1));
+    rec.end_frame(tiny_tap(1));
+    const std::vector<std::uint8_t> good = core::make_flight_dump(
+        rec, radar::RadarConfig{}, core::PipelineConfig{}, "path");
+    // FRCF is the first section: container header (8 bytes), then the
+    // section header (tag u32, version u16, reserved u16, length u32).
+    constexpr std::size_t kSection = 8;
+    const std::size_t len = static_cast<std::size_t>(good[kSection + 8]) |
+                            static_cast<std::size_t>(good[kSection + 9]) << 8;
+    const std::size_t path_byte = kSection + 12 + len - 1;
+    ASSERT_EQ(good[path_byte], 1u);
+    EXPECT_NO_THROW(core::decode_dump(good));
+
+    std::vector<std::uint8_t> scalar = good;
+    scalar[path_byte] = 0;
+    state::seal_section_crcs(scalar);
+    EXPECT_THROW(core::decode_dump(scalar), state::SnapshotError);
+
+    std::vector<std::uint8_t> v1 = good;
+    v1[kSection + 4] = 1;
+    state::seal_section_crcs(v1);
+    EXPECT_THROW(core::decode_dump(v1), state::SnapshotError);
+}
+
 TEST(FlightRecorder, EventNamesAreStable) {
     EXPECT_STREQ(obs::to_string(obs::RecorderEvent::kHealthTransition),
                  "health_transition");

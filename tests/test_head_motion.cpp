@@ -51,8 +51,9 @@ TEST(HeadMotion, PostureShiftsArePoissonGenerated) {
     for (std::size_t i = 0; i < m.shifts().size(); ++i) {
         EXPECT_GE(m.shifts()[i].start_s, 0.0);
         EXPECT_LT(m.shifts()[i].start_s, 600.0);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(m.shifts()[i].start_s, m.shifts()[i - 1].start_s);
+        }
     }
 }
 

@@ -164,8 +164,8 @@ TEST(IngestWire, CrcMismatchCostsOneRecordAndResyncs) {
 TEST(IngestWire, GarbagePreambleIsQuarantined) {
     const auto sims = make_sessions(1, 1.0);
     const auto clean = encode(sims[0], 0);
-    std::vector<std::uint8_t> bytes(64, 0xEE);
-    bytes.insert(bytes.end(), clean.begin(), clean.end());
+    std::vector<std::uint8_t> bytes(64 + clean.size(), 0xEE);
+    std::copy(clean.begin(), clean.end(), bytes.begin() + 64);
 
     ingest::WireDecoder dec;
     const radar::FrameSeries frames = decode_all(dec, bytes);
@@ -447,7 +447,8 @@ TEST(IngestFrontend, FileReplayMatchesDirectPipelineBitExactly) {
     }
 
     ThreadPool pool(2);
-    fleet::FleetEngine engine(fleet::FleetConfig{}, &pool);
+    const fleet::FleetConfig fleet_config;
+    fleet::FleetEngine engine(fleet_config, &pool);
     ingest::IngestFrontend fe(ingest::IngestConfig{}, engine);
 
     const ingest::Admission adm =
@@ -477,7 +478,8 @@ TEST(IngestFrontend, FileReplayMatchesDirectPipelineBitExactly) {
 
 TEST(IngestFrontend, AdmissionTokenBucketRefusesBurstsThenRefills) {
     ThreadPool pool(1);
-    fleet::FleetEngine engine(fleet::FleetConfig{}, &pool);
+    const fleet::FleetConfig fleet_config;
+    fleet::FleetEngine engine(fleet_config, &pool);
     ingest::IngestConfig cfg;
     cfg.admission.capacity = 2.0;
     cfg.admission.refill_per_tick = 0.5;
@@ -502,7 +504,8 @@ TEST(IngestFrontend, AdmissionTokenBucketRefusesBurstsThenRefills) {
 TEST(IngestFrontend, CloseStreamDrainsQueuedFrames) {
     const auto sims = make_sessions(1, 2.0);
     ThreadPool pool(1);
-    fleet::FleetEngine engine(fleet::FleetConfig{}, &pool);
+    const fleet::FleetConfig fleet_config;
+    fleet::FleetEngine engine(fleet_config, &pool);
     ingest::IngestConfig cfg;
     cfg.governor.budget_frames_per_tick = 1;  // almost nothing delivers
     // Park the ladder so the huge backlog can't force drops.
@@ -559,7 +562,8 @@ private:
 TEST(IngestFrontend, WatchdogReconnectsAStalledStream) {
     const auto sims = make_sessions(1, 1.0);
     ThreadPool pool(1);
-    fleet::FleetEngine engine(fleet::FleetConfig{}, &pool);
+    const fleet::FleetConfig fleet_config;
+    fleet::FleetEngine engine(fleet_config, &pool);
     ingest::IngestConfig cfg;
     cfg.stream.stall_ticks = 3;
     cfg.stream.backoff_base_ticks = 2;
@@ -582,7 +586,8 @@ TEST(IngestFrontend, WatchdogReconnectsAStalledStream) {
 TEST(IngestFrontend, MetricsSurfaceDeliveryAndDecodeAccounting) {
     const auto sims = make_sessions(1, 1.0);
     ThreadPool pool(1);
-    fleet::FleetEngine engine(fleet::FleetConfig{}, &pool);
+    const fleet::FleetConfig fleet_config;
+    fleet::FleetEngine engine(fleet_config, &pool);
     obs::MetricsRegistry reg;
     ingest::IngestFrontend fe(ingest::IngestConfig{}, engine, &reg);
 

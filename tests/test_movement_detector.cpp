@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "common/contracts.hpp"
 #include "common/random.hpp"
 #include "core/movement_detector.hpp"
@@ -11,10 +9,27 @@ namespace {
 
 constexpr double kFps = 25.0;
 
-dsp::ComplexSignal noise_frame(std::size_t n, double sigma, Rng& rng) {
-    dsp::ComplexSignal f(n);
-    for (auto& v : f) v = dsp::Complex(rng.normal(0, sigma), rng.normal(0, sigma));
+dsp::IqPlanes noise_frame(std::size_t n, double sigma, Rng& rng) {
+    dsp::IqPlanes f;
+    f.resize(n);
+    for (std::size_t b = 0; b < n; ++b) {
+        f.i[b] = rng.normal(0, sigma);
+        f.q[b] = rng.normal(0, sigma);
+    }
     return f;
+}
+
+dsp::IqPlanes constant_frame(std::size_t n, double i, double q) {
+    dsp::IqPlanes f;
+    f.i.assign(n, i);
+    f.q.assign(n, q);
+    return f;
+}
+
+/// Add (di, dq) to every bin.
+void offset(dsp::IqPlanes& f, double di, double dq) {
+    for (double& v : f.i) v += di;
+    for (double& v : f.q) v += dq;
 }
 
 TEST(MovementDetector, QuietStreamNeverTriggers) {
@@ -29,8 +44,8 @@ TEST(MovementDetector, LargeJumpTriggers) {
     MovementDetector md(PipelineConfig{}, kFps);
     for (int i = 0; i < 200; ++i) md.push(noise_frame(151, 0.01, rng));
     // A posture shift: every bin jumps by an amplitude far above noise.
-    dsp::ComplexSignal shifted = noise_frame(151, 0.01, rng);
-    for (auto& v : shifted) v += dsp::Complex(1.0, -1.0);
+    dsp::IqPlanes shifted = noise_frame(151, 0.01, rng);
+    offset(shifted, 1.0, -1.0);
     EXPECT_TRUE(md.push(shifted));
 }
 
@@ -39,7 +54,7 @@ TEST(MovementDetector, NoJudgementBeforeBaselineEstablished) {
     MovementDetector md(PipelineConfig{}, kFps);
     // Even a big change in the first frames must not trigger: the median
     // window is not primed yet.
-    dsp::ComplexSignal big(151, dsp::Complex(10, 10));
+    const dsp::IqPlanes big = constant_frame(151, 10, 10);
     EXPECT_FALSE(md.push(noise_frame(151, 0.01, rng)));
     EXPECT_FALSE(md.push(big));
 }
@@ -52,9 +67,9 @@ TEST(MovementDetector, TriggeredFramesDontPoisonTheMedian) {
     // huge diffs are excluded from the median history).
     int triggers = 0;
     for (int i = 0; i < 10; ++i) {
-        dsp::ComplexSignal f = noise_frame(151, 0.01, rng);
+        dsp::IqPlanes f = noise_frame(151, 0.01, rng);
         const double amp = i % 2 == 0 ? 2.0 : -2.0;  // keep frames changing
-        for (auto& v : f) v += dsp::Complex(amp, amp);
+        offset(f, amp, amp);
         if (md.push(f)) ++triggers;
     }
     EXPECT_GE(triggers, 8);
@@ -65,15 +80,15 @@ TEST(MovementDetector, ResetForgetsBaseline) {
     MovementDetector md(PipelineConfig{}, kFps);
     for (int i = 0; i < 200; ++i) md.push(noise_frame(151, 0.01, rng));
     md.reset();
-    dsp::ComplexSignal big(151, dsp::Complex(5, 5));
+    const dsp::IqPlanes big = constant_frame(151, 5, 5);
     EXPECT_FALSE(md.push(big));  // no baseline: no judgement
 }
 
 TEST(MovementDetector, LastDifferenceExposed) {
     Rng rng(6);
     MovementDetector md(PipelineConfig{}, kFps);
-    md.push(dsp::ComplexSignal(10, dsp::Complex(0, 0)));
-    md.push(dsp::ComplexSignal(10, dsp::Complex(1, 0)));
+    md.push(constant_frame(10, 0, 0));
+    md.push(constant_frame(10, 1, 0));
     EXPECT_NEAR(md.last_difference(), 10.0, 1e-12);
 }
 
@@ -88,17 +103,17 @@ TEST(MovementDetector, SensitivityScalesWithConfig) {
         mlo.push(noise_frame(151, 0.01, rng1));
         mhi.push(noise_frame(151, 0.01, rng2));
     }
-    dsp::ComplexSignal f1 = noise_frame(151, 0.01, rng1);
-    dsp::ComplexSignal f2 = f1;
-    for (auto& v : f1) v += dsp::Complex(0.3, 0.3);
-    for (auto& v : f2) v += dsp::Complex(0.3, 0.3);
+    dsp::IqPlanes f1 = noise_frame(151, 0.01, rng1);
+    dsp::IqPlanes f2 = f1;
+    offset(f1, 0.3, 0.3);
+    offset(f2, 0.3, 0.3);
     EXPECT_TRUE(mlo.push(f1));
     EXPECT_FALSE(mhi.push(f2));
 }
 
 TEST(MovementDetector, RejectsEmptyFrameAndBadConfig) {
     MovementDetector md(PipelineConfig{}, kFps);
-    EXPECT_THROW(md.push(dsp::ComplexSignal{}),
+    EXPECT_THROW(md.push(dsp::IqPlanes{}),
                  blinkradar::ContractViolation);
     PipelineConfig bad;
     bad.movement_threshold_factor = 0.5;

@@ -40,7 +40,9 @@ TEST(Recovery, CrashScheduleIsDeterministicAndWellFormed) {
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_LT(a[i], n_frames);
         EXPECT_GE(a[i], n_frames / 8);  // past the cold-start window
-        if (i > 0) EXPECT_LT(a[i - 1], a[i]);  // strictly sorted = distinct
+        if (i > 0) {
+            EXPECT_LT(a[i - 1], a[i]);  // strictly sorted = distinct
+        }
     }
 
     // Different drill seed, different schedule (same scenario).

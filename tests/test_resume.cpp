@@ -121,6 +121,17 @@ TEST(Resume, BitIdenticalAcrossSplitPoints) {
     }
 }
 
+TEST(Resume, BitIdenticalAcrossSplitPointsSecondScene) {
+    // Splits inside cold start, right after bin selection, and deep in
+    // steady state (window ring partially evicted), on another scene.
+    const sim::SimulatedSession s =
+        simulate_session(reference_scenario(7, 30.0));
+    for (const std::size_t split : {20u, 70u, 600u}) {
+        SCOPED_TRACE("split=" + std::to_string(split));
+        run_resume_drill(s.frames, s.radar, {}, split, nullptr, nullptr);
+    }
+}
+
 TEST(Resume, BitIdenticalUnderSensorFaults) {
     // The guard carries real state (held frame, health machine, fault
     // window) only when the stream is faulty — resume through a fault
@@ -194,6 +205,44 @@ TEST(Resume, FingerprintMismatchIsRejected) {
     BlinkRadarPipeline other(s.radar, amplitude);
     state::StateReader reader(bytes);
     EXPECT_THROW(other.restore_state(reader), state::SnapshotError);
+}
+
+TEST(Resume, LegacyFramePathSnapshotIsRejected) {
+    // PIPE v2 carries a frame-path byte. Byte 0 and v1 snapshots came
+    // from the removed interleaved frame path, whose arithmetic this
+    // build cannot replay: restoring them must throw, not diverge.
+    const sim::SimulatedSession s =
+        simulate_session(reference_scenario(19, 10.0));
+    BlinkRadarPipeline original(s.radar);
+    for (std::size_t i = 0; i < 100; ++i) original.process(s.frames[i]);
+    const std::vector<std::uint8_t> good = snapshot_of(original);
+
+    // PIPE is the first section: container header (8 bytes), section
+    // header (tag u32, version u16, reserved u16, length u32), then the
+    // fingerprint: bins u64, frame rate f64, waveform mode u8, path u8.
+    constexpr std::size_t kSection = 8;
+    constexpr std::size_t kPathByte = kSection + 12 + 8 + 8 + 1;
+    ASSERT_EQ(good[kPathByte], 1u);
+
+    std::vector<std::uint8_t> scalar = good;
+    scalar[kPathByte] = 0;
+    state::seal_section_crcs(scalar);
+    {
+        BlinkRadarPipeline target(s.radar);
+        state::StateReader reader(scalar);
+        EXPECT_THROW(target.restore_state(reader), state::SnapshotError);
+    }
+    std::vector<std::uint8_t> v1 = good;
+    v1[kSection + 4] = 1;
+    state::seal_section_crcs(v1);
+    {
+        BlinkRadarPipeline target(s.radar);
+        state::StateReader reader(v1);
+        EXPECT_THROW(target.restore_state(reader), state::SnapshotError);
+    }
+    BlinkRadarPipeline target(s.radar);
+    state::StateReader reader(good);
+    EXPECT_NO_THROW(target.restore_state(reader));
 }
 
 TEST(Resume, CorruptedSnapshotIsRejectedNotApplied) {

@@ -357,6 +357,45 @@ TEST(StateSnapshot, TagNameFormatsPrintableAndBinaryTags) {
     EXPECT_EQ(state::tag_name(0x01020304u), "0x01020304");
 }
 
+// The pipeline keeps I/Q frames as planes but serializes them through
+// write_complex_planes, so the MOVD, BKGD and PIPE bytes are those of an
+// interleaved complex span: snapshots keep their wire format.
+TEST(StateSnapshot, PlanesSerializationMatchesComplexSpanBytes) {
+    Rng rng(5);
+    for (const std::size_t n : {0u, 1u, 5u, 151u}) {
+        dsp::ComplexSignal aos(n);
+        std::vector<double> re(n), im(n);
+        for (std::size_t j = 0; j < n; ++j) {
+            re[j] = rng.normal(0.0, 1.0);
+            im[j] = rng.normal(0.0, 1.0);
+            aos[j] = dsp::Complex(re[j], im[j]);
+        }
+        const std::uint32_t tag = state::make_tag("TEST");
+        StateWriter wa;
+        wa.begin_section(tag, 1);
+        wa.write_complex_span(aos);
+        wa.end_section();
+        StateWriter wb;
+        wb.begin_section(tag, 1);
+        wb.write_complex_planes(re, im);
+        wb.end_section();
+        const std::vector<std::uint8_t> ba = wa.finish();
+        const std::vector<std::uint8_t> bb = wb.finish();
+        ASSERT_EQ(ba, bb) << "wire bytes differ at n=" << n;
+
+        // And the plane reader deinterleaves the complex-span bytes.
+        StateReader reader(ba);
+        ASSERT_EQ(reader.open_section(tag), 1);
+        std::vector<double> re2, im2;
+        reader.read_complex_planes_into(re2, im2);
+        ASSERT_EQ(re2.size(), n);
+        for (std::size_t j = 0; j < n; ++j) {
+            EXPECT_EQ(re[j], re2[j]);
+            EXPECT_EQ(im[j], im2[j]);
+        }
+    }
+}
+
 // --- Concurrent-writer regression tests --------------------------------
 //
 // write_snapshot_file used to stage every write of a given target at the
