@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/random.hpp"
 #include "common/units.hpp"
@@ -27,6 +28,10 @@ struct FitCase {
     const char* name;
     CircleFit (*fit)(std::span<const Complex>);
 };
+
+// Without this gtest prints the case as its raw bytes (two pointers), so the
+// registered test names would change with every process's address layout.
+void PrintTo(const FitCase& c, std::ostream* os) { *os << c.name; }
 
 class AllFitters : public ::testing::TestWithParam<FitCase> {};
 
