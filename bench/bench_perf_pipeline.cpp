@@ -20,10 +20,12 @@
 #include "dsp/fft.hpp"
 #include "eval/experiment.hpp"
 #include "fleet/fleet_engine.hpp"
+#include "ingest/wire_format.hpp"
 #include "obs/telemetry/aggregator.hpp"
 #include "obs/telemetry/export.hpp"
 #include "physio/driver_profile.hpp"
 #include "sim/scenario.hpp"
+#include "state/snapshot.hpp"
 
 using namespace blinkradar;
 
@@ -261,6 +263,38 @@ void BM_SimulatorFrame(benchmark::State& state) {
     for (auto _ : state) benchmark::DoNotOptimize(stream.simulator->next());
 }
 BENCHMARK(BM_SimulatorFrame);
+
+// state::crc32 is the repo's one checksum routine; these two gate it on
+// its two hot inputs. A BRWF frame record is checksummed on encode and
+// again on every decode (~2.4 KB per radar frame).
+void BM_Crc32WireRecord(benchmark::State& state) {
+    const auto& s = session();
+    ingest::WireEncoder encoder(ingest::WireHello{s.radar, 0});
+    const std::size_t from = encoder.bytes().size();
+    encoder.encode_frame(s.frames.front());
+    // The record CRC covers everything but its own 4-byte trailer.
+    const std::span<const std::uint8_t> record(
+        encoder.bytes().data() + from, encoder.bytes().size() - from - 4);
+    for (auto _ : state) benchmark::DoNotOptimize(state::crc32(record));
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * record.size()));
+}
+BENCHMARK(BM_Crc32WireRecord);
+
+// One pipeline save_state container (the fleet's autosnapshot, eviction
+// and Supervisor slot payload), checksummed whole.
+void BM_Crc32Snapshot(benchmark::State& state) {
+    const auto& s = session();
+    core::BlinkRadarPipeline pipeline(s.radar);
+    for (std::size_t i = 0; i < 500; ++i) pipeline.process(s.frames[i]);
+    state::StateWriter writer;
+    pipeline.save_state(writer);
+    const std::vector<std::uint8_t> snapshot = writer.finish();
+    for (auto _ : state) benchmark::DoNotOptimize(state::crc32(snapshot));
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * snapshot.size()));
+}
+BENCHMARK(BM_Crc32Snapshot);
 
 // Batch engine throughput: score several independent sessions through
 // eval::run_sessions (fanned out over the shared thread pool). Reports

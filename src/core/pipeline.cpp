@@ -839,7 +839,7 @@ void BlinkRadarPipeline::record_frame(std::uint64_t seq,
     if (rec.checkpoint_due()) {
         state::StateWriter writer(rec.take_checkpoint_buffer());
         // CRCs are deferred: checksumming ~600 KB of window state costs
-        // ~30x the bulk copy and is only needed when a dump actually
+        // ~2.5x writing it and is only needed when a dump actually
         // leaves the process — FlightRecorder::dump() seals it then.
         writer.defer_crcs();
         save_state(writer);

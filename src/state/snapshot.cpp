@@ -31,17 +31,22 @@ constexpr std::size_t kHeaderLen = 8;        // magic + version + flags
 constexpr std::size_t kSectionHeaderLen = 12;  // tag + ver + rsv + len
 constexpr std::size_t kCrcLen = 4;
 
-/// CRC-32 lookup table (IEEE 802.3 reflected polynomial 0xEDB88320),
-/// generated once at static-init time.
+/// Slicing-by-8 CRC-32 tables (IEEE 802.3 reflected polynomial
+/// 0xEDB88320), generated once at static-init time. t[0] is the classic
+/// bytewise table; t[k][i] is the CRC of byte i followed by k zero
+/// bytes, so one step folds 8 input bytes with 8 independent lookups.
 struct Crc32Table {
-    std::array<std::uint32_t, 256> t{};
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     Crc32Table() {
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
+            t[0][i] = c;
         }
+        for (std::size_t k = 1; k < t.size(); ++k)
+            for (std::size_t i = 0; i < 256; ++i)
+                t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
     }
 };
 const Crc32Table kCrcTable;
@@ -65,9 +70,22 @@ std::uint64_t load_u64(const std::uint8_t* p) {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
+    const auto& t = kCrcTable.t;
     std::uint32_t c = 0xFFFFFFFFu;
-    for (const std::uint8_t b : data)
-        c = kCrcTable.t[(c ^ b) & 0xFFu] ^ (c >> 8);
+    const std::uint8_t* p = data.data();
+    std::size_t n = data.size();
+    // Slicing-by-8: words are assembled little-endian by load_u32, so
+    // the loop makes no alignment or host byte-order assumption.
+    for (; n >= 8; p += 8, n -= 8) {
+        const std::uint32_t lo = load_u32(p) ^ c;
+        const std::uint32_t hi = load_u32(p + 4);
+        c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+            t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+            t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n)
+        c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 

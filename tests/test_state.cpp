@@ -97,6 +97,39 @@ TEST(StateSnapshot, Crc32MatchesKnownVector) {
     const std::uint8_t digits[] = {'1', '2', '3', '4', '5',
                                    '6', '7', '8', '9'};
     EXPECT_EQ(state::crc32(digits), 0xCBF43926u);
+    EXPECT_EQ(state::crc32({}), 0u);
+}
+
+TEST(StateSnapshot, Crc32MatchesBytewiseReference) {
+    // Bytewise table CRC-32, the textbook form the sliced routine must
+    // reproduce bit for bit.
+    std::uint32_t table[256];
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        table[i] = c;
+    }
+    const auto reference = [&](const std::uint8_t* p, std::size_t n) {
+        std::uint32_t c = 0xFFFFFFFFu;
+        for (std::size_t i = 0; i < n; ++i)
+            c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+        return c ^ 0xFFFFFFFFu;
+    };
+
+    // 625 KB is the size of one fleet session's autosnapshot.
+    std::vector<std::uint8_t> buf(625'000);
+    Rng rng(20261017);
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+
+    // Every start offset mod 8 crossed with every length that ends in
+    // the bytewise tail, a single 8-byte step or several of them.
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t len = 0; len <= 72; ++len)
+            ASSERT_EQ(state::crc32({buf.data() + offset, len}),
+                      reference(buf.data() + offset, len))
+                << "offset " << offset << ", length " << len;
+    EXPECT_EQ(state::crc32(buf), reference(buf.data(), buf.size()));
 }
 
 TEST(StateSnapshot, SectionsAreNavigableInAnyOrder) {
