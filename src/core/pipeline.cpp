@@ -383,11 +383,14 @@ FrameResult BlinkRadarPipeline::process_validated(
     const obs::KernelTimers* kt =
         (instr_ && instr_->detailed_frame) ? &instr_->kernels : nullptr;
 
-    // 1. Noise reduction (into per-pipeline scratch: no allocation).
+    // 1. Noise reduction, into per-thread scratch: the preprocessed frame
+    // lives only until this call returns, so all sessions drained on a
+    // thread share one warm buffer (no allocation once warm).
+    thread_local dsp::IqPlanes pre_planes;
     {
         const obs::StageTimer timer(stage_hist(PipelineStage::kPreprocess),
                                     stage_ns(PipelineStage::kPreprocess));
-        preprocessor_.apply_soa(frame, pre_planes_, kt);
+        preprocessor_.apply_soa(frame, pre_planes, kt);
     }
 
     // 2. Significant body movement => restart the whole detection process.
@@ -396,7 +399,7 @@ FrameResult BlinkRadarPipeline::process_validated(
         const obs::StageTimer timer(stage_hist(PipelineStage::kMovement),
                                     stage_ns(PipelineStage::kMovement));
         const obs::StageTimer k(kt ? kt->movement_energy : nullptr);
-        moved = movement_.push(pre_planes_);
+        moved = movement_.push(pre_planes);
     }
     if (moved) {
         restart();
@@ -429,9 +432,9 @@ FrameResult BlinkRadarPipeline::process_validated(
             const double* old_q = evict ? evict->q.data() : nullptr;
             dsp::IqPlanes& sub = window_.emplace_slot();
             sub.resize(n);
-            background_.begin_soa_frame(pre_planes_);
+            background_.begin_soa_frame(pre_planes);
             kernels_->background_var_fused(
-                pre_planes_.i.data(), pre_planes_.q.data(), n,
+                pre_planes.i.data(), pre_planes.q.data(), n,
                 config_.background_alpha, background_.bg_i().data(),
                 background_.bg_q().data(), sub.i.data(), sub.q.data(),
                 old_i, old_q, rolling_var_.sum_i_data(),
@@ -448,10 +451,10 @@ FrameResult BlinkRadarPipeline::process_validated(
     // via reused scratch.
     if (recorder_ != nullptr && recorder_->profiles_due()) {
         const dsp::IqPlanes& sub = window_.back();
-        tap_pre_scratch_.resize(pre_planes_.size());
+        tap_pre_scratch_.resize(pre_planes.size());
         tap_sub_scratch_.resize(sub.size());
-        kernels_->interleave(pre_planes_.i.data(), pre_planes_.q.data(),
-                             pre_planes_.size(), tap_pre_scratch_.data());
+        kernels_->interleave(pre_planes.i.data(), pre_planes.q.data(),
+                             pre_planes.size(), tap_pre_scratch_.data());
         kernels_->interleave(sub.i.data(), sub.q.data(), sub.size(),
                              tap_sub_scratch_.data());
         recorder_->tap_profiles(tap_pre_scratch_, tap_sub_scratch_);

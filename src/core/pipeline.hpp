@@ -317,7 +317,6 @@ private:
     std::size_t rolling_window_frames_ = 0;  ///< its window length
 
     // Steady-state scratch (sized once; reused every frame/reselect).
-    dsp::IqPlanes pre_planes_;                     ///< preprocessed frame
     std::vector<const dsp::IqPlanes*> view_scratch_;  ///< reselect view
     BinSelector::SelectScratch select_scratch_;    ///< select_soa scratch
     std::vector<double> var_scratch_;              ///< rolling variances

@@ -54,39 +54,44 @@ void Preprocessor::apply_soa(const radar::RadarFrame& frame,
                              dsp::IqPlanes& out,
                              const obs::KernelTimers* timers) const {
     BR_EXPECTS(!frame.bins.empty());
+    // Per-frame intermediates hold nothing between frames, so they are
+    // per thread, not per instance: every session a worker drains
+    // reuses the same warm planes.
+    thread_local dsp::IqPlanes in;
+    thread_local dsp::IqPlanes filtered;
+    thread_local dsp::IqPlanes aligned;
+    thread_local dsp::IqPlanes prefix;
     const dsp::KernelTable& kern = dsp::active_kernels();
     const std::size_t n = frame.bins.size();
-    in_planes_.resize(n);
-    kern.deinterleave(frame.bins.data(), n, in_planes_.i.data(),
-                      in_planes_.q.data());
+    in.resize(n);
+    kern.deinterleave(frame.bins.data(), n, in.i.data(), in.q.data());
 
     {
         obs::StageTimer t(timers ? timers->preprocess_fir : nullptr);
-        fir_.filter_planes_into(in_planes_, filtered_planes_);
+        fir_.filter_planes_into(in, filtered);
     }
 
     // Group-delay alignment: shift both planes by gd with edge hold,
     // mirroring the complex loop in apply_into() element for element.
     const std::size_t gd = static_cast<std::size_t>(fir_.group_delay_samples());
-    aligned_planes_.resize(n);
+    aligned.resize(n);
     const std::size_t m = n > gd ? n - gd : 0;
-    std::copy(filtered_planes_.i.begin() + static_cast<std::ptrdiff_t>(gd),
-              filtered_planes_.i.begin() + static_cast<std::ptrdiff_t>(gd + m),
-              aligned_planes_.i.begin());
-    std::copy(filtered_planes_.q.begin() + static_cast<std::ptrdiff_t>(gd),
-              filtered_planes_.q.begin() + static_cast<std::ptrdiff_t>(gd + m),
-              aligned_planes_.q.begin());
-    const double edge_i = m > 0 ? aligned_planes_.i[m - 1] : 0.0;
-    const double edge_q = m > 0 ? aligned_planes_.q[m - 1] : 0.0;
-    std::fill(aligned_planes_.i.begin() + static_cast<std::ptrdiff_t>(m),
-              aligned_planes_.i.end(), edge_i);
-    std::fill(aligned_planes_.q.begin() + static_cast<std::ptrdiff_t>(m),
-              aligned_planes_.q.end(), edge_q);
+    std::copy(filtered.i.begin() + static_cast<std::ptrdiff_t>(gd),
+              filtered.i.begin() + static_cast<std::ptrdiff_t>(gd + m),
+              aligned.i.begin());
+    std::copy(filtered.q.begin() + static_cast<std::ptrdiff_t>(gd),
+              filtered.q.begin() + static_cast<std::ptrdiff_t>(gd + m),
+              aligned.q.begin());
+    const double edge_i = m > 0 ? aligned.i[m - 1] : 0.0;
+    const double edge_q = m > 0 ? aligned.q[m - 1] : 0.0;
+    std::fill(aligned.i.begin() + static_cast<std::ptrdiff_t>(m),
+              aligned.i.end(), edge_i);
+    std::fill(aligned.q.begin() + static_cast<std::ptrdiff_t>(m),
+              aligned.q.end(), edge_q);
 
     {
         obs::StageTimer t(timers ? timers->preprocess_smooth : nullptr);
-        dsp::moving_average_planes_into(aligned_planes_, smooth_window_, out,
-                                        prefix_planes_);
+        dsp::moving_average_planes_into(aligned, smooth_window_, out, prefix);
     }
 }
 

@@ -17,10 +17,11 @@
 namespace blinkradar::core {
 
 /// Per-frame noise-reduction stage. Logically stateless (the output
-/// depends only on the input frame), but it reuses internal scratch
-/// buffers across calls so a warmed-up instance performs zero heap
-/// allocations per frame — therefore one instance must not be shared
-/// between threads (each pipeline owns its own).
+/// depends only on the input frame). The AoS path reuses per-instance
+/// scratch, so one instance must not be shared between threads (each
+/// pipeline owns its own); the SoA path's intermediates are per thread.
+/// Either way a warmed-up instance performs zero heap allocations per
+/// frame.
 class Preprocessor {
 public:
     explicit Preprocessor(const PipelineConfig& config);
@@ -38,6 +39,8 @@ public:
     /// (FIR -> group-delay alignment -> smoothing) on I/Q planes through
     /// the active SIMD kernels; component-wise bit-identical to
     /// apply_into(). `timers` (optional) receives per-kernel latencies.
+    /// The intermediate planes are thread_local scratch: not reentrant
+    /// on one thread, safe across threads.
     void apply_soa(const radar::RadarFrame& frame, dsp::IqPlanes& out,
                    const obs::KernelTimers* timers = nullptr) const;
 
@@ -59,14 +62,11 @@ private:
     dsp::FirFilter fir_;
     std::size_t smooth_window_;
 
-    // Scratch reused across frames (see class comment re: thread safety).
+    // AoS scratch reused across frames (see class comment re: thread
+    // safety).
     mutable dsp::ComplexSignal filtered_;
     mutable dsp::ComplexSignal aligned_;
     mutable dsp::ComplexSignal prefix_;
-    mutable dsp::IqPlanes in_planes_;
-    mutable dsp::IqPlanes filtered_planes_;
-    mutable dsp::IqPlanes aligned_planes_;
-    mutable dsp::IqPlanes prefix_planes_;
 };
 
 }  // namespace blinkradar::core

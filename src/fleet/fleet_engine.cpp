@@ -43,6 +43,7 @@ struct FleetEngine::Session {
     std::uint64_t last_active_pump = 0;
 
     std::deque<radar::RadarFrame> inbox;
+    bool listed = false;  ///< in the engine's ready list
     std::vector<core::FrameResult> results;
     std::vector<core::DetectedBlink> blinks;
     SessionStats stats;
@@ -50,7 +51,9 @@ struct FleetEngine::Session {
 
 FleetEngine::FleetEngine(FleetConfig config, ThreadPool* pool)
     : config_(std::move(config)),
-      pool_(pool != nullptr ? pool : &ThreadPool::shared()) {
+      pool_(pool != nullptr ? pool : &ThreadPool::shared()),
+      shards_(config_.n_shards),
+      cursors_(config_.n_shards) {
     BR_EXPECTS(config_.n_shards >= 1);
     if (!config_.spill_dir.empty()) {
         std::error_code ec;
@@ -115,20 +118,31 @@ SessionId FleetEngine::create_session(const radar::RadarConfig& radar,
     return id;
 }
 
+void FleetEngine::list_ready(Session& s) {
+    if (s.listed) return;
+    s.listed = true;
+    ready_.push_back(&s);
+}
+
 void FleetEngine::feed(SessionId id, const radar::RadarFrame& frame) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    session_ref(id).inbox.push_back(frame);
+    Session& s = session_ref(id);
+    s.inbox.push_back(frame);
+    list_ready(s);
 }
 
 void FleetEngine::feed(SessionId id, radar::RadarFrame&& frame) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    session_ref(id).inbox.push_back(std::move(frame));
+    Session& s = session_ref(id);
+    s.inbox.push_back(std::move(frame));
+    list_ready(s);
 }
 
 void FleetEngine::feed(SessionId id, const radar::FrameSeries& frames) {
     const std::lock_guard<std::mutex> lock(mutex_);
     Session& s = session_ref(id);
     s.inbox.insert(s.inbox.end(), frames.begin(), frames.end());
+    if (!frames.empty()) list_ready(s);
 }
 
 void FleetEngine::serialize_session(Session& s) const {
@@ -239,6 +253,7 @@ SessionStats FleetEngine::close(SessionId id) {
         engine_stats_.frames_processed += scratch.frames_processed;
     }
     const SessionStats final_stats = s.stats;
+    if (s.listed) std::erase(ready_, &s);
     if (!config_.spill_dir.empty()) {
         std::error_code ec;
         fs::remove(spill_path(id), ec);  // best-effort
@@ -389,19 +404,21 @@ std::size_t FleetEngine::pump() {
     const std::size_t n_shards = config_.n_shards;
     ++engine_stats_.pumps;
 
-    // Ready sessions, sharded by id. Ascending-id within each shard
-    // (map order) — not required for bit-identity, but it makes steal
-    // traces reproducible enough to read. Draining counts as activity
-    // for the residency policy's pump-count clock.
-    std::vector<std::vector<Session*>> shard(n_shards);
-    for (auto& [id, s] : sessions_)
+    // Ready sessions — the ones fed since the last pump — sharded by id.
+    // Ascending-id within each shard — not required for bit-identity,
+    // but it makes steal traces reproducible enough to read. Draining
+    // counts as activity for the residency policy's pump-count clock.
+    std::sort(ready_.begin(), ready_.end(),
+              [](const Session* a, const Session* b) { return a->id < b->id; });
+    std::vector<std::vector<Session*>>& shard = shards_;
+    for (auto& list : shard) list.clear();
+    for (Session* s : ready_)
         if (!s->inbox.empty()) {
             s->last_active_pump = engine_stats_.pumps;
-            shard[static_cast<std::size_t>(id % n_shards)].push_back(
-                s.get());
+            shard[static_cast<std::size_t>(s->id % n_shards)].push_back(s);
         }
 
-    std::vector<std::atomic<std::size_t>> cursor(n_shards);
+    std::vector<std::atomic<std::size_t>>& cursor = cursors_;
     for (auto& c : cursor) c.store(0, std::memory_order_relaxed);
 
     last_pump_stats_.assign(n_shards, ShardStats{});
@@ -423,6 +440,10 @@ std::size_t FleetEngine::pump() {
             }
         }
     });
+    // Every listed inbox is empty now. (If a drain threw, the list is
+    // kept and the next pump retries what is still queued.)
+    for (Session* s : ready_) s->listed = false;
+    ready_.clear();
 
     // Residency policy runs after the drain, while every inbox the pump
     // saw is empty — so "has queued frames" below means "fed during this

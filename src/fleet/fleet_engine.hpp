@@ -270,6 +270,7 @@ private:
     void enforce_residency_locked();
     void rehydrate(Session& s) const;
     void drain(Session& s, ShardStats& worker) const;
+    void list_ready(Session& s);
     bool process_with_recovery(Session& s,
                                const radar::RadarFrame& frame) const;
 
@@ -278,6 +279,12 @@ private:
     mutable std::mutex mutex_;  ///< serialises control ops and pump()
     std::map<SessionId, std::unique_ptr<Session>> sessions_;
     SessionId next_id_ = 0;
+    /// Sessions fed since the last pump (each once, unordered): the
+    /// pump drains these instead of scanning sessions_.
+    std::vector<Session*> ready_;
+    /// pump() scratch, reused: per-shard ready sessions and claim cursors.
+    std::vector<std::vector<Session*>> shards_;
+    std::vector<std::atomic<std::size_t>> cursors_;
     std::vector<ShardStats> last_pump_stats_;
     EngineStats engine_stats_;
 };

@@ -1,6 +1,7 @@
 #include "ingest/byte_source.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 namespace blinkradar::ingest {
@@ -56,25 +57,49 @@ void FileReplaySource::reconnect() {
     }
 }
 
+// --------------------------------------------------------------- ReadySet
+
+void ReadySet::notify(std::uint64_t token) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    posted_.push_back(token);
+}
+
+void ReadySet::take(std::vector<std::uint64_t>& out) {
+    out.clear();
+    const std::lock_guard<std::mutex> lock(mutex_);
+    out.swap(posted_);
+}
+
 // --------------------------------------------------------------- BytePipe
 
 class BytePipe::Source : public ByteSource {
 public:
     explicit Source(BytePipe* pipe) : pipe_(pipe) {}
 
+    ~Source() override {
+        // Unhook under the pipe lock: once this returns, no writer can
+        // still be posting to the watcher.
+        const std::lock_guard<std::mutex> lock(pipe_->mutex_);
+        pipe_->ready_ = nullptr;
+    }
+
     std::size_t read(std::uint8_t* out, std::size_t max) override {
         const std::lock_guard<std::mutex> lock(pipe_->mutex_);
-        const std::size_t n = std::min(max, pipe_->buf_.size());
-        std::copy_n(pipe_->buf_.begin(), n, out);
-        pipe_->buf_.erase(pipe_->buf_.begin(),
-                          pipe_->buf_.begin() +
-                              static_cast<std::ptrdiff_t>(n));
-        return n;
+        pipe_->posted_ = false;
+        return pipe_->take_locked(out, max);
     }
 
     bool exhausted() const override {
         const std::lock_guard<std::mutex> lock(pipe_->mutex_);
-        return pipe_->closed_ && pipe_->buf_.empty();
+        return pipe_->closed_ && pipe_->size_ == 0;
+    }
+
+    bool watch(ReadySet& ready, std::uint64_t token) override {
+        const std::lock_guard<std::mutex> lock(pipe_->mutex_);
+        pipe_->ready_ = &ready;
+        pipe_->token_ = token;
+        pipe_->posted_ = false;
+        return true;
     }
 
 private:
@@ -84,24 +109,58 @@ private:
 BytePipe::BytePipe(std::size_t capacity_bytes)
     : capacity_(capacity_bytes) {}
 
+std::size_t BytePipe::take_locked(std::uint8_t* out, std::size_t max) {
+    const std::size_t n = std::min(max, size_);
+    if (n == 0) return 0;
+    const std::size_t first = std::min(n, ring_.size() - head_);
+    std::memcpy(out, ring_.data() + head_, first);
+    std::memcpy(out + first, ring_.data(), n - first);
+    head_ = (head_ + n) % ring_.size();
+    size_ -= n;
+    return n;
+}
+
+void BytePipe::notify_locked() {
+    if (ready_ == nullptr || posted_) return;
+    posted_ = true;
+    ready_->notify(token_);
+}
+
 std::size_t BytePipe::write(std::span<const std::uint8_t> bytes) {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (closed_) return 0;
-    const std::size_t room = capacity_ - std::min(capacity_, buf_.size());
-    const std::size_t n = std::min(room, bytes.size());
-    buf_.insert(buf_.end(), bytes.begin(),
-                bytes.begin() + static_cast<std::ptrdiff_t>(n));
+    const std::size_t n = std::min(capacity_ - size_, bytes.size());
+    if (n == 0) return 0;
+    if (size_ + n > ring_.size()) {
+        // Grow by doubling (capped at the capacity), unwrapping the
+        // buffered bytes to the front of the new ring.
+        std::vector<std::uint8_t> grown(std::min(
+            capacity_, std::max({size_ + n, 2 * ring_.size(),
+                                 std::size_t{4096}})));
+        const std::size_t buffered = size_;
+        take_locked(grown.data(), buffered);
+        size_ = buffered;
+        ring_.swap(grown);
+        head_ = 0;
+    }
+    const std::size_t tail = (head_ + size_) % ring_.size();
+    const std::size_t first = std::min(n, ring_.size() - tail);
+    std::memcpy(ring_.data() + tail, bytes.data(), first);
+    std::memcpy(ring_.data(), bytes.data() + first, n - first);
+    size_ += n;
+    notify_locked();
     return n;
 }
 
 void BytePipe::close() {
     const std::lock_guard<std::mutex> lock(mutex_);
     closed_ = true;
+    notify_locked();
 }
 
 std::size_t BytePipe::buffered() const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return buf_.size();
+    return size_;
 }
 
 bool BytePipe::closed() const {

@@ -1,11 +1,17 @@
 // Byte sources the ingest front-end pulls from.
 //
-// The front-end is pull-based: once per pump tick it reads up to a
-// per-stream byte budget from each stream's source, so a slow consumer
+// The front-end is pull-based: on a pump tick it reads up to a
+// per-stream byte budget from a stream's source, so a slow consumer
 // (full frame queue under the `block` policy) simply stops pulling and
 // the bytes stay where they are — in the file, or in the pipe where the
 // producer sees the pipe fill up and its writes shorten. That is the
 // whole backpressure story: no source-side buffering policy to tune.
+//
+// Readiness: a source that knows when bytes arrive can say so through
+// ByteSource::watch(). The front-end then reads it only on ticks after
+// it reported "bytes arrived" or "closed" (plus the sticky cases in
+// DESIGN.md §15), so an idle stream costs nothing per tick. Sources
+// that cannot report are read on every tick.
 //
 //   MemoryByteSource  - replays a byte vector (tests, fault sweeps).
 //   FileReplaySource  - streams a .brwf file from disk (br_ingest replay).
@@ -13,12 +19,12 @@
 //                       thread write()s, the front-end reads the other
 //                       end. Bounded; write() accepts a prefix when the
 //                       pipe is nearly full (socket short-write
-//                       semantics) and 0 bytes when full.
+//                       semantics) and 0 bytes when full. Reports
+//                       readiness.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -26,6 +32,21 @@
 #include <vector>
 
 namespace blinkradar::ingest {
+
+/// Where readiness-reporting sources post "bytes arrived" / "closed".
+/// Thread-safe: producers notify from any thread, the front-end takes
+/// the posted tokens once per tick.
+class ReadySet {
+public:
+    void notify(std::uint64_t token);
+    /// Swap the posted tokens into `out` (cleared first; unordered, may
+    /// repeat a token).
+    void take(std::vector<std::uint64_t>& out);
+
+private:
+    std::mutex mutex_;
+    std::vector<std::uint64_t> posted_;
+};
 
 /// Pull interface the front-end drives. read() returning 0 means
 /// "nothing available right now" — only exhausted() distinguishes a
@@ -46,6 +67,18 @@ public:
     /// source re-opening its file, a transport re-dialling) do so here;
     /// the default is a no-op.
     virtual void reconnect() {}
+
+    /// Readiness hook. A source that supports it posts `token` to
+    /// `ready` whenever bytes arrive or it closes, until it is
+    /// destroyed, and returns true; `ready` must outlive the source.
+    /// After a read() that returned fewer bytes than asked, nothing new
+    /// is readable until the next post. The default returns false: not
+    /// supported, the source is read on every tick.
+    virtual bool watch(ReadySet& ready, std::uint64_t token) {
+        (void)ready;
+        (void)token;
+        return false;
+    }
 };
 
 /// Replays an in-memory byte vector, optionally capped to `max_per_read`
@@ -88,7 +121,9 @@ private:
 /// living in the same process (simulator threads, tests, the TSan
 /// drill). Thread-safe; any number of writers, one reader (the
 /// front-end). Reader-side pressure surfaces to writers as short or
-/// zero-length writes.
+/// zero-length writes. The bytes live in a contiguous ring that grows
+/// by doubling up to the capacity, so a read or write is at most two
+/// memcpys.
 class BytePipe {
 public:
     explicit BytePipe(std::size_t capacity_bytes = 1u << 20);
@@ -110,10 +145,22 @@ public:
 private:
     class Source;
 
+    /// Copy up to `max` bytes out of the ring; caller holds mutex_.
+    std::size_t take_locked(std::uint8_t* out, std::size_t max);
+    /// Post to the watcher unless already posted since the last read;
+    /// caller holds mutex_ (lock order: pipe, then ReadySet; the reader
+    /// never holds both).
+    void notify_locked();
+
     mutable std::mutex mutex_;
-    std::deque<std::uint8_t> buf_;
+    std::vector<std::uint8_t> ring_;  ///< size() is the ring's length
+    std::size_t head_ = 0;            ///< oldest buffered byte
+    std::size_t size_ = 0;            ///< bytes buffered
     std::size_t capacity_;
     bool closed_ = false;
+    ReadySet* ready_ = nullptr;  ///< the reader's watcher, if any
+    std::uint64_t token_ = 0;
+    bool posted_ = false;  ///< posted since the last read
 };
 
 }  // namespace blinkradar::ingest

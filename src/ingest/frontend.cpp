@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "common/contracts.hpp"
 
@@ -17,6 +18,10 @@ const char* to_string(ShedLevel level) noexcept {
     }
     return "?";
 }
+
+namespace {
+constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+}  // namespace
 
 /// Everything one stream owns. Touched only by the driving thread; the
 /// source is the boundary to producer threads (BytePipe locks inside).
@@ -46,15 +51,44 @@ struct IngestFrontend::Stream {
     /// pressure backs up into the decoder buffer and then the source.
     std::optional<radar::RadarFrame> holding;
 
-    std::uint64_t stall_run = 0;  ///< consecutive silent ticks
+    /// Readiness: the source posts to the front-end's ReadySet, so the
+    /// stream is polled only when posted or sticky (DESIGN.md §15).
+    bool notifies = false;
+    /// In the front-end's ascending-id list of streams with queued
+    /// frames (the deliver walk).
+    bool backlogged = false;
+
+    /// Stall accounting is lazy: `stall_run` is the run as of
+    /// `last_poll_tick`, and every tick skipped since then was silent
+    /// and counts one unless the source was already exhausted.
+    std::uint64_t stall_run = 0;
+    std::uint64_t last_poll_tick = 0;
+    bool idle_exhausted = false;
     std::uint64_t reconnects = 0;
     std::uint64_t backoff_attempts = 0;
     std::uint64_t next_reconnect_tick = 0;
+    /// Tick the watchdog fires if the stream stays silent (its key in
+    /// watchdog_due_), or kNever.
+    std::uint64_t watchdog_due = kNever;
 
     std::uint64_t bytes_read = 0;
     std::uint64_t delivered = 0;
 
-    std::vector<std::uint8_t> read_buf;  ///< recycled read scratch
+    std::uint64_t stall_run_at(std::uint64_t tick) const {
+        return idle_exhausted || tick <= last_poll_tick
+                   ? stall_run
+                   : stall_run + (tick - last_poll_tick);
+    }
+    std::uint64_t backlog() const {
+        return queue.size() + (holding ? 1 : 0);
+    }
+    /// A blocked stream reads no bytes: that is how pressure reaches
+    /// the source.
+    bool blocked() const {
+        return holding.has_value() ||
+               (queue.policy() == BackpressurePolicy::kBlock &&
+                queue.size() >= queue.capacity());
+    }
 };
 
 /// Metric handles registered once at construction (hot paths only
@@ -180,9 +214,12 @@ Admission IngestFrontend::open_stream(std::unique_ptr<ByteSource> source,
     }
     tokens_ -= 1.0;
     const StreamId id = next_stream_id_++;
-    streams_.emplace(id, std::make_unique<Stream>(id, config,
-                                                  std::move(source),
-                                                  master_rng_.fork()));
+    auto s = std::make_unique<Stream>(id, config, std::move(source),
+                                      master_rng_.fork());
+    s->notifies = s->source->watch(ready_, id);
+    s->last_poll_tick = tick_;
+    streams_.emplace(id, std::move(s));
+    sticky_.push_back(id);  // first poll on the next tick
     if (m_) m_->opened->inc();
     trace_line("{\"ev\":\"ingest.open\",\"stream\":" + std::to_string(id) +
                ",\"tick\":" + std::to_string(tick_) + "}");
@@ -190,6 +227,12 @@ Admission IngestFrontend::open_stream(std::unique_ptr<ByteSource> source,
 }
 
 void IngestFrontend::poll_stream(Stream& s) {
+    // Catch up on the ticks skipped since the last poll, then poll.
+    s.stall_run = s.stall_run_at(tick_ - 1);
+    const std::size_t backlog_before = s.backlog();
+    const DecodeStats& d = s.decoder.stats();
+    const DecodeTotals decode_before{d.bytes_in, d.frames_decoded,
+                                     d.total_errors(), d.quarantined_bytes};
     bool progress = false;
 
     // Retry the holding slot first — it is the oldest undecoded frame.
@@ -210,18 +253,18 @@ void IngestFrontend::poll_stream(Stream& s) {
     // Backpressure: while the stream is blocked we do not consume source
     // bytes. A BytePipe then fills and its writers see short writes; a
     // file simply waits.
-    const bool blocked =
-        s.holding.has_value() ||
-        (s.queue.policy() == BackpressurePolicy::kBlock &&
-         s.queue.size() >= s.queue.capacity());
+    const bool blocked = s.blocked();
 
     std::size_t bytes = 0;
     if (!blocked) {
-        s.read_buf.resize(s.config.read_budget_bytes);
-        bytes = s.source->read(s.read_buf.data(), s.read_buf.size());
+        // One read buffer for all streams: the decoder copies what it
+        // is given.
+        const std::size_t budget = s.config.read_budget_bytes;
+        if (read_buf_.size() < budget) read_buf_.resize(budget);
+        bytes = s.source->read(read_buf_.data(), budget);
         if (bytes > 0) {
             s.bytes_read += bytes;
-            s.decoder.push({s.read_buf.data(), bytes});
+            s.decoder.push({read_buf_.data(), bytes});
             progress = true;
         }
     }
@@ -271,11 +314,58 @@ void IngestFrontend::poll_stream(Stream& s) {
         }
     }
 
+    const bool exhausted = s.source->exhausted();
     if (progress) {
         s.stall_run = 0;
         s.backoff_attempts = 0;
-    } else if (!blocked && bytes == 0 && !s.source->exhausted()) {
+    } else if (!blocked && bytes == 0 && !exhausted) {
         ++s.stall_run;  // genuinely silent upstream, not our refusal
+    }
+    s.last_poll_tick = tick_;
+    s.idle_exhausted = exhausted;
+
+    // Sticky: poll again next tick even without a readiness post —
+    // a blocked stream skipped its read, a capped read may have left
+    // bytes behind, and a source without the readiness hook never posts.
+    if (!s.notifies || s.blocked() || bytes == s.config.read_budget_bytes)
+        sticky_.push_back(s.id);
+    schedule_watchdog(s);
+
+    backlog_ += s.backlog();
+    backlog_ -= backlog_before;
+    if (!s.backlogged && s.queue.size() > 0) {
+        s.backlogged = true;
+        newly_backlogged_.push_back(&s);
+    }
+    decode_totals_.bytes_in += d.bytes_in - decode_before.bytes_in;
+    decode_totals_.frames += d.frames_decoded - decode_before.frames;
+    decode_totals_.errors += d.total_errors() - decode_before.errors;
+    decode_totals_.quarantined +=
+        d.quarantined_bytes - decode_before.quarantined;
+}
+
+void IngestFrontend::schedule_watchdog(Stream& s) {
+    // The first tick at which run_watchdogs() would fire for this stream
+    // if it stays unpolled: the lazily extended stall run must reach
+    // stall_ticks and the backoff must have expired.
+    std::uint64_t due = kNever;
+    if (s.stall_run >= s.config.stall_ticks)
+        due = s.last_poll_tick;
+    else if (!s.idle_exhausted)
+        due = s.last_poll_tick + (s.config.stall_ticks - s.stall_run);
+    if (due != kNever) due = std::max(due, s.next_reconnect_tick);
+    if (due == s.watchdog_due) return;
+    // Re-key the stream's set node in place: no allocation per poll.
+    decltype(watchdog_due_)::node_type node;
+    if (s.watchdog_due != kNever)
+        node = watchdog_due_.extract({s.watchdog_due, s.id});
+    s.watchdog_due = due;
+    if (due == kNever) return;
+    if (node.empty()) {
+        watchdog_due_.insert({due, s.id});
+    } else {
+        node.value() = {due, s.id};
+        watchdog_due_.insert(std::move(node));
     }
 }
 
@@ -285,9 +375,11 @@ std::size_t IngestFrontend::deliver() {
     // every downstream result — replays exactly. When the budget runs
     // out, later streams keep their frames queued; that is the duty
     // cycle the queues (and the governor watching them) are for.
+    // Only streams with queued frames are walked; backlogged_ keeps them
+    // in ascending id, the same order a walk over every stream takes.
     std::size_t budget = config_.governor.budget_frames_per_tick;
     std::size_t total = 0;
-    for (auto& [id, sp] : streams_) {
+    for (Stream* sp : backlogged_) {
         if (budget == 0) break;
         Stream& s = *sp;
         if (!s.session) continue;
@@ -313,16 +405,25 @@ std::size_t IngestFrontend::deliver() {
         budget -= n;
         total += n;
     }
+    backlog_ -= total;
+    std::erase_if(backlogged_, [](Stream* s) {
+        if (s->queue.size() > 0) return false;
+        s->backlogged = false;
+        return true;
+    });
     if (m_) m_->delivered->inc(total);
     return total;
 }
 
 void IngestFrontend::run_watchdogs() {
-    for (auto& [id, sp] : streams_) {
-        Stream& s = *sp;
-        if (s.stall_run < s.config.stall_ticks) continue;
-        if (tick_ < s.next_reconnect_tick) continue;  // backing off
+    // Due ticks are kept current by every poll, so the streams firing
+    // now are the front of the (due tick, id) order, ascending id.
+    while (!watchdog_due_.empty() && watchdog_due_.begin()->first <= tick_) {
+        Stream& s = stream_ref(watchdog_due_.begin()->second);
+        watchdog_due_.erase(watchdog_due_.begin());
+        s.watchdog_due = kNever;
         s.source->reconnect();
+        sticky_.push_back(s.id);  // a reconnected source is polled next
         ++s.reconnects;
         if (m_) m_->reconnects->inc();
         // Exponential backoff with per-stream deterministic jitter, so a
@@ -374,6 +475,7 @@ void IngestFrontend::set_level(ShedLevel to, double load) {
             if (sp->policy_forced) {
                 sp->queue.set_policy(sp->configured_policy);
                 sp->policy_forced = false;
+                sticky_.push_back(id);  // may be blocked again
             }
     }
 }
@@ -442,7 +544,33 @@ PumpReport IngestFrontend::pump() {
     PumpReport report;
     report.tick = tick_;
 
-    for (auto& [id, sp] : streams_) poll_stream(*sp);
+    // Poll, in ascending id, the streams whose source posted since the
+    // last tick plus the sticky ones; every other stream would read
+    // nothing and only extend its stall run, which is counted lazily.
+    ready_.take(poll_ids_);
+    poll_ids_.insert(poll_ids_.end(), sticky_.begin(), sticky_.end());
+    sticky_.clear();
+    std::sort(poll_ids_.begin(), poll_ids_.end());
+    poll_ids_.erase(std::unique(poll_ids_.begin(), poll_ids_.end()),
+                    poll_ids_.end());
+    for (const StreamId id : poll_ids_) {
+        const auto it = streams_.find(id);
+        if (it != streams_.end()) poll_stream(*it->second);
+    }
+    if (!newly_backlogged_.empty()) {
+        // Both runs are ascending id (polls run in id order).
+        const std::size_t mid = backlogged_.size();
+        backlogged_.insert(backlogged_.end(), newly_backlogged_.begin(),
+                           newly_backlogged_.end());
+        newly_backlogged_.clear();
+        std::inplace_merge(backlogged_.begin(),
+                           backlogged_.begin() +
+                               static_cast<std::ptrdiff_t>(mid),
+                           backlogged_.end(),
+                           [](const Stream* a, const Stream* b) {
+                               return a->id < b->id;
+                           });
+    }
 
     report.frames_delivered = deliver();
 
@@ -455,9 +583,7 @@ PumpReport IngestFrontend::pump() {
 
     run_watchdogs();
 
-    std::size_t backlog = 0;
-    for (const auto& [id, sp] : streams_)
-        backlog += sp->queue.size() + (sp->holding ? 1 : 0);
+    const std::size_t backlog = backlog_;
     report.backlog = backlog;
 
     run_governor(backlog, report);
@@ -471,20 +597,13 @@ PumpReport IngestFrontend::pump() {
         m_->load->set(report.load);
         m_->backlog->set(static_cast<double>(backlog));
         m_->tokens->set(tokens_);
-        // Aggregate decoder accounting, refreshed once per tick (the
-        // decoders keep the authoritative counters).
-        std::uint64_t bytes_in = 0, frames = 0, errors = 0, quarantined = 0;
-        for (const auto& [id, sp] : streams_) {
-            const DecodeStats& d = sp->decoder.stats();
-            bytes_in += d.bytes_in;
-            frames += d.frames_decoded;
-            errors += d.total_errors();
-            quarantined += d.quarantined_bytes;
-        }
-        m_->bytes_in->set(static_cast<double>(bytes_in));
-        m_->frames_decoded->set(static_cast<double>(frames));
-        m_->decode_errors->set(static_cast<double>(errors));
-        m_->quarantined_bytes->set(static_cast<double>(quarantined));
+        // Aggregate decoder accounting over the open streams, kept as
+        // running sums by poll_stream() and close_stream().
+        const DecodeTotals& t = decode_totals_;
+        m_->bytes_in->set(static_cast<double>(t.bytes_in));
+        m_->frames_decoded->set(static_cast<double>(t.frames));
+        m_->decode_errors->set(static_cast<double>(t.errors));
+        m_->quarantined_bytes->set(static_cast<double>(t.quarantined));
     }
 
     if (slo_ != nullptr) slo_->tick();
@@ -542,6 +661,14 @@ const obs::telemetry::SnapshotPublisher& IngestFrontend::publish_telemetry() {
 
 fleet::SessionStats IngestFrontend::close_stream(StreamId id) {
     Stream& s = stream_ref(id);
+    backlog_ -= s.backlog();
+    if (s.backlogged) std::erase(backlogged_, &s);
+    if (s.watchdog_due != kNever) watchdog_due_.erase({s.watchdog_due, id});
+    const DecodeStats& d = s.decoder.stats();
+    decode_totals_.bytes_in -= d.bytes_in;
+    decode_totals_.frames -= d.frames_decoded;
+    decode_totals_.errors -= d.total_errors();
+    decode_totals_.quarantined -= d.quarantined_bytes;
     fleet::SessionStats final_stats{};
     if (s.session) {
         // Drain-then-release, end to end: everything this stream still
@@ -592,7 +719,7 @@ StreamStats IngestFrontend::stream_stats(StreamId id) const {
     out.queued = s.queue.size();
     out.holding = s.holding.has_value();
     out.bytes_read = s.bytes_read;
-    out.stall_run = s.stall_run;
+    out.stall_run = s.stall_run_at(tick_);
     out.reconnects = s.reconnects;
     out.saw_bye = s.decoder.saw_bye();
     out.exhausted = s.source->exhausted();

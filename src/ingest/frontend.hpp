@@ -17,15 +17,21 @@
 //
 // One call to pump() is one tick, in a fixed phase order:
 //
-//   poll       - per stream: retry the block-policy holding slot, read
-//                up to the byte budget (skipped while blocked — that is
-//                how pressure reaches the pipe), decode records, queue
-//                frames; hello records create fleet sessions.
+//   poll       - per ready stream, ascending id: retry the block-policy
+//                holding slot, read up to the byte budget (skipped while
+//                blocked — that is how pressure reaches the pipe),
+//                decode records, queue frames; hello records create
+//                fleet sessions. A stream is ready when its source
+//                posted "bytes arrived"/"closed" (ByteSource::watch) or
+//                it is sticky: blocked, holding, read capped, just
+//                reconnected, or its source cannot post. The rest would
+//                read nothing; their stall runs are extended lazily.
 //   deliver    - pop frames oldest-first (ascending stream id) into the
 //                engine, up to the governor's per-tick frame budget.
 //   engine     - FleetEngine::pump(), wall latency recorded to metrics.
 //   watchdogs  - stalled sources get reconnect() with deterministic
-//                per-stream jittered exponential backoff.
+//                per-stream jittered exponential backoff, driven by
+//                each stream's due tick.
 //   governor   - recompute load, walk the shed ladder one step with
 //                hysteresis, apply the step's side effects.
 //   admission  - refill the token bucket.
@@ -68,7 +74,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.hpp"
@@ -321,7 +329,16 @@ private:
 
     Stream& stream_ref(StreamId id);
     const Stream& stream_ref(StreamId id) const;
+    /// Decoder counters summed over the open streams (metric gauges).
+    struct DecodeTotals {
+        std::uint64_t bytes_in = 0;
+        std::uint64_t frames = 0;
+        std::uint64_t errors = 0;
+        std::uint64_t quarantined = 0;
+    };
+
     void poll_stream(Stream& s);
+    void schedule_watchdog(Stream& s);
     std::size_t deliver();
     void run_watchdogs();
     void run_governor(std::size_t backlog, PumpReport& report);
@@ -342,8 +359,22 @@ private:
     /// exact "<metrics_prefix>s<id>." keys are retired next cycle).
     std::vector<StreamId> telemetry_streams_;
 
+    /// Readiness posts from the sources; declared before streams_ so the
+    /// sources (which unhook on destruction) go first.
+    ReadySet ready_;
     std::map<StreamId, std::unique_ptr<Stream>> streams_;
     StreamId next_stream_id_ = 0;
+
+    // Per-tick work lists, so a tick costs O(streams with work).
+    std::vector<StreamId> sticky_;    ///< poll next tick regardless
+    std::vector<StreamId> poll_ids_;  ///< scratch: this tick's polls
+    /// Streams with queued frames, ascending id (the deliver walk).
+    std::vector<Stream*> backlogged_;
+    std::vector<Stream*> newly_backlogged_;  ///< scratch, ascending id
+    /// (due tick, id) of every stream whose watchdog can fire.
+    std::set<std::pair<std::uint64_t, StreamId>> watchdog_due_;
+    std::size_t backlog_ = 0;  ///< queued + holding, all streams
+    DecodeTotals decode_totals_;
     Rng master_rng_;
 
     std::uint64_t tick_ = 0;
@@ -357,6 +388,7 @@ private:
 
     std::vector<radar::RadarFrame> deliver_frames_;  ///< scratch
     std::vector<std::uint64_t> deliver_ages_;        ///< scratch
+    std::vector<std::uint8_t> read_buf_;             ///< scratch
 };
 
 }  // namespace blinkradar::ingest

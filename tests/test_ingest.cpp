@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -420,6 +421,138 @@ TEST(IngestQueue, EveryPolicyAccountsEveryFrame) {
     }
 }
 
+// ------------------------------------------------------------- byte pipe
+
+/// Writes and checks a byte sequence whose value at stream offset k is a
+/// function of k, so any lost, repeated or reordered byte shows.
+struct PipeSequence {
+    std::size_t written = 0;
+    std::size_t consumed = 0;
+
+    static std::uint8_t at(std::size_t k) {
+        return static_cast<std::uint8_t>(k * 131 + 7);
+    }
+    std::size_t write(ingest::BytePipe& pipe, std::size_t n) {
+        std::vector<std::uint8_t> bytes(n);
+        for (std::size_t i = 0; i < n; ++i) bytes[i] = at(written + i);
+        const std::size_t accepted = pipe.write(bytes);
+        written += accepted;
+        return accepted;
+    }
+    /// Reads up to `n` bytes; returns the count, or SIZE_MAX on a byte
+    /// that breaks the sequence.
+    std::size_t read(ingest::ByteSource& src, std::size_t n) {
+        std::vector<std::uint8_t> out(n);
+        const std::size_t got = src.read(out.data(), n);
+        for (std::size_t i = 0; i < got; ++i)
+            if (out[i] != at(consumed + i)) return SIZE_MAX;
+        consumed += got;
+        return got;
+    }
+};
+
+TEST(IngestPipe, RingWrapsAcrossItsEnd) {
+    // A 4 KB pipe's ring is its capacity from the first write on.
+    ingest::BytePipe pipe(4096);
+    const auto src = pipe.make_source();
+    PipeSequence seq;
+    ASSERT_EQ(seq.write(pipe, 3000), 3000u);
+    ASSERT_EQ(seq.read(*src, 2000), 2000u);
+    // The tail sits at 3000: this write wraps past the ring's end...
+    ASSERT_EQ(seq.write(pipe, 2500), 2500u);
+    EXPECT_EQ(pipe.buffered(), 3500u);
+    // ...and so does this read, from offset 2000 through the start.
+    EXPECT_EQ(seq.read(*src, 4096), 3500u);
+    EXPECT_EQ(pipe.buffered(), 0u);
+    // Many more laps keep the sequence intact.
+    for (std::size_t lap = 0; lap < 50; ++lap) {
+        const std::size_t n = 1000 + 37 * lap % 900;
+        ASSERT_EQ(seq.write(pipe, n), n);
+        ASSERT_EQ(seq.read(*src, 2000), n);
+    }
+}
+
+TEST(IngestPipe, RingGrowsAndKeepsWrappedBytesInOrder) {
+    ingest::BytePipe pipe(1u << 20);
+    const auto src = pipe.make_source();
+    PipeSequence seq;
+    ASSERT_EQ(seq.write(pipe, 3000), 3000u);
+    ASSERT_EQ(seq.read(*src, 2000), 2000u);
+    ASSERT_EQ(seq.write(pipe, 2000), 2000u);  // wraps in the first ring
+    // Outgrows the ring while its bytes are wrapped, then doubles again.
+    ASSERT_EQ(seq.write(pipe, 5000), 5000u);
+    ASSERT_EQ(seq.write(pipe, 20000), 20000u);
+    EXPECT_EQ(pipe.buffered(), 28000u);
+    EXPECT_EQ(seq.read(*src, 7000), 7000u);
+    EXPECT_EQ(seq.read(*src, 1u << 20), 21000u);
+    EXPECT_EQ(pipe.buffered(), 0u);
+}
+
+TEST(IngestPipe, ShortWriteAtCapacity) {
+    ingest::BytePipe pipe(100);
+    const auto src = pipe.make_source();
+    PipeSequence seq;
+    EXPECT_EQ(seq.write(pipe, 70), 70u);
+    EXPECT_EQ(seq.write(pipe, 50), 30u);  // a prefix fits
+    EXPECT_EQ(seq.write(pipe, 1), 0u);    // full
+    EXPECT_EQ(pipe.buffered(), 100u);
+    EXPECT_EQ(seq.read(*src, 10), 10u);
+    EXPECT_EQ(seq.write(pipe, 20), 10u);  // only the room the read made
+    EXPECT_EQ(pipe.buffered(), 100u);
+    EXPECT_EQ(seq.read(*src, 1000), 100u);
+    EXPECT_EQ(pipe.buffered(), 0u);
+}
+
+TEST(IngestPipe, EofOnlyOnceClosedAndDrained) {
+    ingest::BytePipe pipe(64);
+    const auto src = pipe.make_source();
+    PipeSequence seq;
+    EXPECT_EQ(seq.write(pipe, 10), 10u);
+    EXPECT_FALSE(src->exhausted());
+    pipe.close();
+    EXPECT_TRUE(pipe.closed());
+    EXPECT_EQ(seq.write(pipe, 5), 0u);  // nothing after close
+    EXPECT_FALSE(src->exhausted());     // 10 bytes still buffered
+    EXPECT_EQ(seq.read(*src, 4), 4u);
+    EXPECT_FALSE(src->exhausted());
+    EXPECT_EQ(seq.read(*src, 64), 6u);
+    EXPECT_TRUE(src->exhausted());
+    EXPECT_EQ(seq.read(*src, 64), 0u);
+}
+
+TEST(IngestPipe, PostsOnceUntilReadAndOnClose) {
+    ingest::BytePipe pipe(1024);
+    const auto src = pipe.make_source();
+    ingest::ReadySet ready;
+    ASSERT_TRUE(src->watch(ready, 42));
+    std::vector<std::uint64_t> posted;
+    PipeSequence seq;
+
+    ready.take(posted);
+    EXPECT_TRUE(posted.empty());
+    seq.write(pipe, 10);
+    seq.write(pipe, 10);  // still unread: no second post
+    ready.take(posted);
+    EXPECT_EQ(posted, std::vector<std::uint64_t>{42});
+
+    EXPECT_EQ(seq.read(*src, 5), 5u);  // a read re-arms the post
+    seq.write(pipe, 1);
+    ready.take(posted);
+    EXPECT_EQ(posted, std::vector<std::uint64_t>{42});
+
+    EXPECT_EQ(seq.read(*src, 100), 16u);
+    EXPECT_EQ(seq.write(pipe, 0), 0u);  // an empty write is no arrival
+    ready.take(posted);
+    EXPECT_TRUE(posted.empty());
+    pipe.close();
+    ready.take(posted);
+    EXPECT_EQ(posted, std::vector<std::uint64_t>{42});
+
+    // Non-notifying sources decline the hook.
+    ingest::MemoryByteSource mem(std::vector<std::uint8_t>(4, 0));
+    EXPECT_FALSE(mem.watch(ready, 7));
+}
+
 // ------------------------------------------------------- frontend basics
 
 void expect_no_silent_loss(const ingest::IngestFrontend& fe,
@@ -581,6 +714,207 @@ TEST(IngestFrontend, WatchdogReconnectsAStalledStream) {
     EXPECT_GE(st.reconnects, 1u);
     EXPECT_EQ(st.frames_decoded, sims[0].frames.size());
     expect_no_silent_loss(fe, adm.id);
+}
+
+/// Per-tick "stall_run/reconnects" of one stream, space-separated.
+std::string stall_trace(const std::vector<ingest::StreamStats>& ticks) {
+    std::string s;
+    for (const ingest::StreamStats& st : ticks) {
+        if (!s.empty()) s += ' ';
+        s += std::to_string(st.stall_run) + '/' +
+             std::to_string(st.reconnects);
+    }
+    return s;
+}
+
+TEST(IngestFrontend, PipeStallAccountingMatchesPerTickPolling) {
+    // Four pipe streams under a short stall watchdog: one silent after
+    // its hello, one written every 4th tick, one closed mid-run after a
+    // silent spell, and one blocked behind its full kBlock queue while
+    // lower ids take the one-frame deliver budget. The expected traces
+    // were recorded from a front-end that polled every stream on every
+    // tick; a front-end that skips idle streams must count the same.
+    const auto sims = make_sessions(1, 2.0);
+    const std::vector<std::uint8_t> bytes = encode(sims[0], 0);
+    const std::size_t hello_end = kStreamHeaderBytes + kHelloRecordBytes;
+    const std::size_t rec = frame_record_bytes(sims[0].radar.n_bins());
+    const auto frames = [&](std::size_t first, std::size_t n) {
+        return std::span<const std::uint8_t>(
+            bytes.data() + hello_end + first * rec, n * rec);
+    };
+
+    // Pipes outlive the front-end (sources borrow their buffers).
+    std::vector<std::unique_ptr<ingest::BytePipe>> pipes;
+    for (std::size_t i = 0; i < 4; ++i)
+        pipes.push_back(std::make_unique<ingest::BytePipe>());
+
+    ThreadPool pool(1);
+    fleet::FleetEngine engine(fleet::FleetConfig{}, &pool);
+    ingest::IngestConfig cfg;
+    cfg.stream.stall_ticks = 3;
+    cfg.stream.backoff_base_ticks = 2;
+    cfg.stream.backoff_max_ticks = 8;
+    cfg.governor.budget_frames_per_tick = 1;
+    cfg.governor.widen_at = 1e5;
+    cfg.governor.force_drop_at = 2e5;
+    cfg.governor.evict_at = 3e5;
+    cfg.governor.refuse_at = 4e5;
+    ingest::IngestFrontend fe(cfg, engine);
+
+    std::vector<ingest::StreamId> ids;
+    for (std::size_t i = 0; i < 4; ++i) {
+        ingest::StreamConfig sc = cfg.stream;
+        if (i == 3) sc.queue_capacity = 1;
+        const auto adm = fe.open_stream(pipes[i]->make_source(), sc);
+        ASSERT_TRUE(adm.admitted());
+        ids.push_back(adm.id);
+        pipes[i]->write({bytes.data(), hello_end});
+    }
+    pipes[2]->write(frames(0, 8));
+    pipes[3]->write(frames(0, 20));
+
+    constexpr std::size_t kTicks = 40;
+    std::vector<std::vector<ingest::StreamStats>> seen(4);
+    std::size_t next_frame = 0;
+    for (std::size_t tick = 1; tick <= kTicks; ++tick) {
+        if (tick % 4 == 0) pipes[1]->write(frames(next_frame++, 1));
+        if (tick == 16) pipes[2]->close();
+        fe.pump();
+        for (std::size_t i = 0; i < 4; ++i)
+            seen[i].push_back(fe.stream_stats(ids[i]));
+    }
+    const char* const expected[4] = {
+        // Silent: the watchdog fires at stall 3, then on each backoff
+        // expiry while the stall keeps growing.
+        "0/0 1/0 2/0 3/1 4/1 5/2 6/2 7/2 8/2 9/3 10/3 11/3 12/3 13/3 "
+        "14/3 15/3 16/3 17/3 18/3 19/3 20/3 21/3 22/4 23/4 24/4 25/4 "
+        "26/4 27/4 28/4 29/4 30/4 31/4 32/4 33/4 34/4 35/4 36/4 37/4 "
+        "38/5 39/5",
+        // Written every 4th tick: each write resets the run.
+        "0/0 1/0 2/0 0/0 1/0 2/0 3/1 0/1 1/1 2/1 3/2 0/2 1/2 2/2 3/3 "
+        "0/3 1/3 2/3 3/4 0/4 1/4 2/4 3/5 0/5 1/5 2/5 3/6 0/6 1/6 2/6 "
+        "3/7 0/7 1/7 2/7 3/8 0/8 1/8 2/8 3/9 0/9",
+        // Closed at tick 16: an exhausted source stops counting, but
+        // the watchdog keeps retrying at each backoff expiry.
+        "0/0 1/0 2/0 3/1 4/1 5/1 6/2 7/2 8/2 9/2 10/2 11/2 12/3 13/3 "
+        "14/3 14/3 14/3 14/3 14/3 14/3 14/3 14/3 14/3 14/3 14/3 14/3 "
+        "14/4 14/4 14/4 14/4 14/4 14/4 14/4 14/4 14/4 14/5 14/5 14/5 "
+        "14/5 14/5",
+        // Blocked: a refused read is not a stall; it counts only once
+        // its 20 frames have drained.
+        "0/0 0/0 0/0 0/0 0/0 0/0 0/0 0/0 0/0 0/0 0/0 0/0 0/0 0/0 0/0 "
+        "0/0 0/0 0/0 0/0 0/0 0/0 0/0 0/0 0/0 0/0 0/0 0/0 0/0 0/0 0/0 "
+        "0/0 0/0 0/0 0/0 0/0 0/0 0/0 1/0 2/0 3/1",
+    };
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(stall_trace(seen[i]), expected[i]) << "stream " << i;
+}
+
+/// A pipe's reader end that counts read() calls and passes the
+/// readiness hook through.
+class CountingPipeSource : public ingest::ByteSource {
+public:
+    CountingPipeSource(ingest::BytePipe& pipe, std::size_t& reads)
+        : inner_(pipe.make_source()), reads_(reads) {}
+
+    std::size_t read(std::uint8_t* out, std::size_t max) override {
+        ++reads_;
+        return inner_->read(out, max);
+    }
+    bool exhausted() const override { return inner_->exhausted(); }
+    bool watch(ingest::ReadySet& ready, std::uint64_t token) override {
+        return inner_->watch(ready, token);
+    }
+
+private:
+    std::unique_ptr<ingest::ByteSource> inner_;
+    std::size_t& reads_;
+};
+
+TEST(IngestFrontend, IdleStreamsAreNotPolled) {
+    // 64 pipe streams send their hello; then one of them gets a frame
+    // per tick for 100 ticks. Only that stream may be read: a tick costs
+    // the streams with bytes, not the streams that are open.
+    constexpr std::size_t kStreams = 64;
+    constexpr std::size_t kActive = 37;
+    constexpr std::size_t kTicks = 100;
+    const auto sims = make_sessions(1, 5.0);
+    const std::vector<std::uint8_t> bytes = encode(sims[0], 0);
+    const std::size_t hello_end = kStreamHeaderBytes + kHelloRecordBytes;
+    const std::size_t rec = frame_record_bytes(sims[0].radar.n_bins());
+    ASSERT_GE(sims[0].frames.size(), kTicks);
+
+    ingest::IngestConfig cfg;
+    cfg.admission.capacity = static_cast<double>(kStreams);
+    // Keep the stall watchdog out of the window: a reconnected stream
+    // is read on the next tick by design.
+    cfg.stream.stall_ticks = 10 * kTicks;
+
+    std::vector<std::unique_ptr<ingest::BytePipe>> pipes;
+    for (std::size_t i = 0; i < kStreams; ++i)
+        pipes.push_back(std::make_unique<ingest::BytePipe>());
+    std::vector<std::size_t> reads(kStreams, 0);
+    ThreadPool pool(2);
+    fleet::FleetEngine engine(fleet::FleetConfig{}, &pool);
+    ingest::IngestFrontend fe(cfg, engine);
+    std::vector<ingest::StreamId> ids;
+    for (std::size_t i = 0; i < kStreams; ++i) {
+        const auto adm = fe.open_stream(
+            std::make_unique<CountingPipeSource>(*pipes[i], reads[i]));
+        ASSERT_TRUE(adm.admitted());
+        ids.push_back(adm.id);
+        pipes[i]->write({bytes.data(), hello_end});
+    }
+    fe.pump();  // every stream reads its hello
+    for (std::size_t i = 0; i < kStreams; ++i) {
+        EXPECT_EQ(reads[i], 1u) << "stream " << i;
+        reads[i] = 0;
+    }
+    for (std::size_t t = 0; t < kTicks; ++t) {
+        pipes[kActive]->write({bytes.data() + hello_end + t * rec, rec});
+        fe.pump();
+    }
+    for (std::size_t i = 0; i < kStreams; ++i) {
+        EXPECT_EQ(reads[i], i == kActive ? kTicks : 0u) << "stream " << i;
+        // Unread ticks still count as silent ones.
+        EXPECT_EQ(fe.stream_stats(ids[i]).stall_run,
+                  i == kActive ? 0u : kTicks)
+            << "stream " << i;
+    }
+
+    // The same bytes from MemoryByteSources, which cannot post and are
+    // read on every tick, give bit-equal results.
+    fleet::FleetEngine ref_engine(fleet::FleetConfig{}, &pool);
+    ingest::IngestFrontend ref_fe(cfg, ref_engine);
+    std::vector<ingest::StreamId> ref_ids;
+    for (std::size_t i = 0; i < kStreams; ++i) {
+        const std::size_t n = hello_end + (i == kActive ? kTicks * rec : 0);
+        const auto adm = ref_fe.open_stream(
+            std::make_unique<ingest::MemoryByteSource>(
+                std::vector<std::uint8_t>(bytes.begin(),
+                                          bytes.begin() +
+                                              static_cast<std::ptrdiff_t>(n))));
+        ASSERT_TRUE(adm.admitted());
+        ref_ids.push_back(adm.id);
+    }
+    for (std::size_t t = 0; t < 50 && !ref_fe.drained(); ++t) ref_fe.pump();
+    ASSERT_TRUE(ref_fe.drained());
+    for (std::size_t i = 0; i < kStreams; ++i) {
+        const ingest::StreamStats got = fe.stream_stats(ids[i]);
+        const ingest::StreamStats want = ref_fe.stream_stats(ref_ids[i]);
+        EXPECT_EQ(got.frames_decoded, want.frames_decoded) << i;
+        EXPECT_EQ(got.frames_delivered, want.frames_delivered) << i;
+        EXPECT_EQ(got.bytes_read, want.bytes_read) << i;
+        const auto& a = engine.results(*fe.session_of(ids[i]));
+        const auto& b = ref_engine.results(*ref_fe.session_of(ref_ids[i]));
+        ASSERT_EQ(a.size(), b.size()) << "stream " << i;
+        for (std::size_t k = 0; k < a.size(); ++k) {
+            EXPECT_EQ(a[k].waveform_value, b[k].waveform_value) << k;
+            EXPECT_EQ(a[k].health, b[k].health) << k;
+            EXPECT_EQ(a[k].blink.has_value(), b[k].blink.has_value()) << k;
+        }
+    }
+    EXPECT_EQ(engine.results(*fe.session_of(ids[kActive])).size(), kTicks);
 }
 
 TEST(IngestFrontend, MetricsSurfaceDeliveryAndDecodeAccounting) {
@@ -1102,6 +1436,84 @@ TEST(IngestConcurrency, PipeProducersAgainstThePumpDrill) {
         expect_no_silent_loss(fe, ids[i]);
         const fleet::SessionStats final_stats = fe.close_stream(ids[i]);
         EXPECT_EQ(final_stats.frames_processed, sims[i].frames.size());
+    }
+}
+
+TEST(IngestConcurrency, ManyWritersShareOnePipeAndTheReadySet) {
+    // Two writers per pipe into small pipes (short writes, wrap-around,
+    // growth), all posting to one ReadySet, while one reader drains
+    // whatever is posted — the front-end's arrangement without the
+    // decoder. Each writer writes its own byte value, so the reader's
+    // tallies prove no byte was lost or duplicated, and a lost post
+    // would leave bytes unread until the deadline.
+    constexpr std::size_t kPipes = 4;
+    constexpr std::size_t kWritersPerPipe = 2;
+    constexpr std::size_t kBytesPerWriter = 48 * 1024;
+    constexpr std::size_t kReadMax = 700;
+
+    std::vector<std::unique_ptr<ingest::BytePipe>> pipes;
+    std::vector<std::unique_ptr<ingest::ByteSource>> sources;
+    ingest::ReadySet ready;
+    for (std::size_t p = 0; p < kPipes; ++p) {
+        pipes.push_back(std::make_unique<ingest::BytePipe>(1500));
+        sources.push_back(pipes[p]->make_source());
+        ASSERT_TRUE(sources[p]->watch(ready, p));
+    }
+
+    std::vector<std::atomic<std::size_t>> open_writers(kPipes);
+    for (auto& n : open_writers) n.store(kWritersPerPipe);
+    std::vector<std::thread> writers;
+    for (std::size_t p = 0; p < kPipes; ++p) {
+        for (std::size_t w = 0; w < kWritersPerPipe; ++w) {
+            writers.emplace_back([&, p, w] {
+                const std::vector<std::uint8_t> chunk(
+                    600, static_cast<std::uint8_t>(w + 1));
+                std::size_t left = kBytesPerWriter;
+                std::size_t step = 0;
+                while (left > 0) {
+                    const std::size_t n = std::min<std::size_t>(
+                        left, 1 + (step++ * 97) % chunk.size());
+                    const std::size_t accepted =
+                        pipes[p]->write({chunk.data(), n});
+                    left -= accepted;
+                    if (accepted == 0) std::this_thread::yield();
+                }
+                if (open_writers[p].fetch_sub(1) == 1) pipes[p]->close();
+            });
+        }
+    }
+
+    std::vector<std::array<std::size_t, kWritersPerPipe + 1>> tally(kPipes);
+    for (auto& t : tally) t.fill(0);
+    std::vector<std::uint64_t> posted;
+    std::vector<std::uint64_t> sticky;
+    std::vector<std::uint8_t> buf(kReadMax);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    bool all_done = false;
+    while (!all_done && std::chrono::steady_clock::now() < deadline) {
+        ready.take(posted);
+        posted.insert(posted.end(), sticky.begin(), sticky.end());
+        sticky.clear();
+        std::sort(posted.begin(), posted.end());
+        posted.erase(std::unique(posted.begin(), posted.end()),
+                     posted.end());
+        for (const std::uint64_t p : posted) {
+            const std::size_t got = sources[p]->read(buf.data(), kReadMax);
+            for (std::size_t i = 0; i < got; ++i) ++tally[p][buf[i]];
+            if (got == kReadMax) sticky.push_back(p);  // may hold more
+        }
+        if (posted.empty()) std::this_thread::yield();
+        all_done = true;
+        for (const auto& src : sources) all_done &= src->exhausted();
+    }
+    for (auto& t : writers) t.join();
+    ASSERT_TRUE(all_done) << "bytes left unread: a readiness post was lost";
+    for (std::size_t p = 0; p < kPipes; ++p) {
+        EXPECT_EQ(tally[p][0], 0u) << "pipe " << p;
+        for (std::size_t w = 1; w <= kWritersPerPipe; ++w)
+            EXPECT_EQ(tally[p][w], kBytesPerWriter)
+                << "pipe " << p << " writer " << w;
     }
 }
 
