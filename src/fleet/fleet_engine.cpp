@@ -41,6 +41,11 @@ struct FleetEngine::Session {
     /// — the residency policy's LRU/idle clock (pump counts, not wall
     /// time, so eviction decisions replay exactly).
     std::uint64_t last_active_pump = 0;
+    /// Links in the engine's resident list, which is ordered by
+    /// (last_active_pump, id); unlinked while evicted.
+    Session* older = nullptr;
+    Session* newer = nullptr;
+    bool on_resident_list = false;
 
     std::deque<radar::RadarFrame> inbox;
     bool listed = false;  ///< in the engine's ready list
@@ -114,8 +119,41 @@ SessionId FleetEngine::create_session(const radar::RadarConfig& radar,
         s->metrics = std::make_unique<obs::MetricsRegistry>();
     s->last_active_pump = engine_stats_.pumps;  // creation counts as activity
     build_pipeline(*s);
+    link_resident(*s);  // newest stamp, largest id: the tail
     sessions_.emplace(id, std::move(s));
     return id;
+}
+
+void FleetEngine::link_resident(Session& s) {
+    // Walk back from the tail to s's (last_active_pump, id) slot. New
+    // sessions and the ones a pump drains sort last, so for them this
+    // is O(1).
+    Session* older = resident_newest_;
+    while (older != nullptr &&
+           (older->last_active_pump > s.last_active_pump ||
+            (older->last_active_pump == s.last_active_pump &&
+             older->id > s.id)))
+        older = older->older;
+    s.older = older;
+    s.newer = older != nullptr ? older->newer : resident_oldest_;
+    (s.newer != nullptr ? s.newer->older : resident_newest_) = &s;
+    (older != nullptr ? older->newer : resident_oldest_) = &s;
+    s.on_resident_list = true;
+    ++resident_count_;
+}
+
+void FleetEngine::unlink_resident(Session& s) {
+    if (!s.on_resident_list) return;
+    (s.older != nullptr ? s.older->newer : resident_oldest_) = s.newer;
+    (s.newer != nullptr ? s.newer->older : resident_newest_) = s.older;
+    s.older = s.newer = nullptr;
+    s.on_resident_list = false;
+    --resident_count_;
+}
+
+void FleetEngine::relink_resident(Session& s) {
+    unlink_resident(s);
+    if (!s.evicted) link_resident(s);
 }
 
 void FleetEngine::list_ready(Session& s) {
@@ -145,14 +183,18 @@ void FleetEngine::feed(SessionId id, const radar::FrameSeries& frames) {
     if (!frames.empty()) list_ready(s);
 }
 
-void FleetEngine::serialize_session(Session& s) const {
-    state::StateWriter writer;
+void FleetEngine::serialize_session(Session& s) {
+    // Serialise into the engine's reused scratch buffer, which has long
+    // grown to the largest state, then keep an exact-size copy: one
+    // allocation per eviction, no regrowth, and no slack held by the
+    // evicted session (states differ widely in size while windows fill).
+    state::StateWriter writer(std::move(evict_scratch_));
     s.pipeline->save_state(writer);
-    std::vector<std::uint8_t> bytes = writer.finish();
+    evict_scratch_ = writer.finish();
     if (config_.spill_dir.empty()) {
-        s.evicted_state = std::move(bytes);
+        s.evicted_state.assign(evict_scratch_.begin(), evict_scratch_.end());
     } else {
-        state::write_snapshot_file(spill_path(s.id), bytes);
+        state::write_snapshot_file(spill_path(s.id), evict_scratch_);
         s.evicted_state.clear();
         s.evicted_state.shrink_to_fit();
     }
@@ -167,6 +209,7 @@ void FleetEngine::evict_locked(Session& s) {
     s.autosnapshot.clear();
     s.autosnapshot.shrink_to_fit();
     s.evicted = true;
+    unlink_resident(s);
     ++s.stats.evictions;
 }
 
@@ -177,44 +220,39 @@ void FleetEngine::evict(SessionId id) {
 
 void FleetEngine::enforce_residency_locked() {
     const ResidencyPolicy& policy = config_.residency;
-    if (policy.max_resident == 0 && policy.evict_idle_after_pumps == 0)
-        return;
+    // Both rules walk the resident list from its oldest end, which is
+    // least-recently-active first with ties broken by id — fully
+    // deterministic, no wall clock anywhere — and stop at the first
+    // session they spare for its age or the budget: the cost is the
+    // sessions evicted. Sessions with queued frames are skipped — the
+    // next pump would rehydrate them anyway.
 
     // Idle timer first: a session untouched for the configured number of
-    // pumps is spilled regardless of the budget. Sessions with queued
-    // frames are skipped — the next pump would rehydrate them anyway.
+    // pumps is spilled regardless of the budget.
     if (policy.evict_idle_after_pumps > 0) {
-        for (auto& [id, s] : sessions_) {
-            if (s->evicted || !s->inbox.empty()) continue;
-            if (engine_stats_.pumps - s->last_active_pump >=
-                policy.evict_idle_after_pumps) {
+        Session* s = resident_oldest_;
+        while (s != nullptr && engine_stats_.pumps - s->last_active_pump >=
+                                   policy.evict_idle_after_pumps) {
+            Session* const newer = s->newer;
+            if (s->inbox.empty()) {
                 evict_locked(*s);
                 ++engine_stats_.idle_evictions;
             }
+            s = newer;
         }
     }
 
     // Then the budget: evict least-recently-active first until the
-    // resident count fits. Candidates are collected in ascending-id
-    // order and stably sorted by last_active_pump, so ties break by id —
-    // fully deterministic, no wall clock anywhere.
+    // resident count fits.
     if (policy.max_resident > 0) {
-        std::vector<Session*> resident;
-        for (auto& [id, s] : sessions_)
-            if (!s->evicted) resident.push_back(s.get());
-        if (resident.size() <= policy.max_resident) return;
-        std::stable_sort(resident.begin(), resident.end(),
-                         [](const Session* a, const Session* b) {
-                             return a->last_active_pump <
-                                    b->last_active_pump;
-                         });
-        std::size_t n_resident = resident.size();
-        for (Session* s : resident) {
-            if (n_resident <= policy.max_resident) break;
-            if (!s->inbox.empty()) continue;  // never evict queued work
-            evict_locked(*s);
-            ++engine_stats_.budget_evictions;
-            --n_resident;
+        Session* s = resident_oldest_;
+        while (s != nullptr && resident_count_ > policy.max_resident) {
+            Session* const newer = s->newer;
+            if (s->inbox.empty()) {
+                evict_locked(*s);
+                ++engine_stats_.budget_evictions;
+            }
+            s = newer;
         }
     }
 }
@@ -249,11 +287,17 @@ SessionStats FleetEngine::close(SessionId id) {
     Session& s = *it->second;
     if (!s.inbox.empty()) {
         ShardStats scratch;
-        drain(s, scratch);
+        try {
+            drain(s, scratch);
+        } catch (...) {
+            relink_resident(s);  // the drain may have rehydrated it
+            throw;
+        }
         engine_stats_.frames_processed += scratch.frames_processed;
     }
     const SessionStats final_stats = s.stats;
     if (s.listed) std::erase(ready_, &s);
+    unlink_resident(s);
     if (!config_.spill_dir.empty()) {
         std::error_code ec;
         fs::remove(spill_path(id), ec);  // best-effort
@@ -274,10 +318,7 @@ std::size_t FleetEngine::session_count() const {
 
 std::size_t FleetEngine::resident_count() const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t n = 0;
-    for (const auto& [id, s] : sessions_)
-        if (!s->evicted) ++n;
-    return n;
+    return resident_count_;
 }
 
 const std::vector<core::FrameResult>& FleetEngine::results(
@@ -427,19 +468,33 @@ std::size_t FleetEngine::pump() {
     // One parallel_for index per shard. Worker w drains shard w, then
     // steals round-robin from w+1, w+2, ... Each session is claimed by
     // exactly one fetch_add winner and drained whole (rules 1 and 3 of
-    // the determinism contract). Worker w writes only stats[w].
-    pool_->parallel_for(n_shards, [&](std::size_t w) {
-        for (std::size_t offset = 0; offset < n_shards; ++offset) {
-            const std::size_t t = (w + offset) % n_shards;
-            for (;;) {
-                const std::size_t i =
-                    cursor[t].fetch_add(1, std::memory_order_relaxed);
-                if (i >= shard[t].size()) break;
-                drain(*shard[t][i], stats[w]);
-                if (t != w) ++stats[w].sessions_stolen;
+    // the determinism contract). Worker w writes only stats[w]. The
+    // sessions drained here then move to the newest end of the
+    // resident list, in ascending id — also when a drain threw, so the
+    // list keeps exactly the sessions that are resident.
+    const auto relink_drained = [&] {
+        for (Session* s : ready_)
+            if (s->last_active_pump == engine_stats_.pumps)
+                relink_resident(*s);
+    };
+    try {
+        pool_->parallel_for(n_shards, [&](std::size_t w) {
+            for (std::size_t offset = 0; offset < n_shards; ++offset) {
+                const std::size_t t = (w + offset) % n_shards;
+                for (;;) {
+                    const std::size_t i =
+                        cursor[t].fetch_add(1, std::memory_order_relaxed);
+                    if (i >= shard[t].size()) break;
+                    drain(*shard[t][i], stats[w]);
+                    if (t != w) ++stats[w].sessions_stolen;
+                }
             }
-        }
-    });
+        });
+    } catch (...) {
+        relink_drained();
+        throw;
+    }
+    relink_drained();
     // Every listed inbox is empty now. (If a drain threw, the list is
     // kept and the next pump retries what is still queued.)
     for (Session* s : ready_) s->listed = false;

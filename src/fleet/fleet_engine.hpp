@@ -20,10 +20,10 @@
 //      ladder (retry -> warm restore from the session's autosnapshot ->
 //      cold restart) consults only the session's own counters, so which
 //      worker happens to drain a session cannot change its recovery
-//      decisions. (This is why a shard does not get a core::Supervisor
-//      per session: Supervisor-style jittered backoff would couple
-//      recovery to wall time and break replayability; the fleet ladder
-//      is the same policy with the nondeterminism removed.)
+//      decisions. (The ladder is the core::Supervisor's policy without
+//      its slot files, watchdog and dumps; the Supervisor's backoff is
+//      frame-counted with seeded jitter, so determinism is not what
+//      keeps the two apart.)
 //   3. Scheduling only chooses WHICH worker drains a session, never
 //      WHAT the drain computes. Sessions are sharded by id % n_shards;
 //      each shard has an atomic claim cursor, and a worker that empties
@@ -34,6 +34,9 @@
 // serialised (the ~600 KB snapshot container from state/snapshot.hpp)
 // either in memory or to `spill_dir`, and the pipeline is destroyed.
 // The next pump() that finds queued frames rehydrates it bit-exactly.
+// Resident sessions sit on a list ordered by last activity, so the
+// residency policy costs the sessions it evicts, and an eviction
+// serialises into a reused buffer and allocates only its exact copy.
 #pragma once
 
 #include <atomic>
@@ -265,12 +268,16 @@ private:
     const Session& session_ref(SessionId id) const;
     std::string spill_path(SessionId id) const;
     void build_pipeline(Session& s) const;
-    void serialize_session(Session& s) const;
+    void serialize_session(Session& s);
     void evict_locked(Session& s);
     void enforce_residency_locked();
     void rehydrate(Session& s) const;
     void drain(Session& s, ShardStats& worker) const;
     void list_ready(Session& s);
+    void link_resident(Session& s);
+    void unlink_resident(Session& s);
+    /// Re-sort s into the resident list if resident, else unlink it.
+    void relink_resident(Session& s);
     bool process_with_recovery(Session& s,
                                const radar::RadarFrame& frame) const;
 
@@ -285,6 +292,15 @@ private:
     /// pump() scratch, reused: per-shard ready sessions and claim cursors.
     std::vector<std::vector<Session*>> shards_;
     std::vector<std::atomic<std::size_t>> cursors_;
+    /// Evictions serialise here (control thread, under mutex_); the
+    /// evicted session keeps an exact-size copy.
+    std::vector<std::uint8_t> evict_scratch_;
+    /// Resident sessions as an intrusive list ordered by
+    /// (last_active_pump, id), oldest first: the residency policy
+    /// evicts from the oldest end without scanning the session table.
+    Session* resident_oldest_ = nullptr;
+    Session* resident_newest_ = nullptr;
+    std::size_t resident_count_ = 0;
     std::vector<ShardStats> last_pump_stats_;
     EngineStats engine_stats_;
 };

@@ -19,6 +19,12 @@
 #include <unistd.h>
 #endif
 
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define BLINKRADAR_HAVE_CRC32_PCLMUL 1
+#endif
+
 #include "common/contracts.hpp"
 
 namespace blinkradar::state {
@@ -67,15 +73,12 @@ std::uint64_t load_u64(const std::uint8_t* p) {
            static_cast<std::uint64_t>(load_u32(p + 4)) << 32;
 }
 
-}  // namespace
-
-std::uint32_t crc32(std::span<const std::uint8_t> data) {
+/// Slicing-by-8 over `n` bytes, on the raw (not yet inverted) CRC
+/// register `c`. Words are assembled little-endian by load_u32, so the
+/// loop makes no alignment or host byte-order assumption.
+std::uint32_t crc32_update_sliced(std::uint32_t c, const std::uint8_t* p,
+                                  std::size_t n) noexcept {
     const auto& t = kCrcTable.t;
-    std::uint32_t c = 0xFFFFFFFFu;
-    const std::uint8_t* p = data.data();
-    std::size_t n = data.size();
-    // Slicing-by-8: words are assembled little-endian by load_u32, so
-    // the loop makes no alignment or host byte-order assumption.
     for (; n >= 8; p += 8, n -= 8) {
         const std::uint32_t lo = load_u32(p) ^ c;
         const std::uint32_t hi = load_u32(p + 4);
@@ -86,7 +89,118 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
     }
     for (; n > 0; ++p, --n)
         c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
-    return c ^ 0xFFFFFFFFu;
+    return c;
+}
+
+#if defined(BLINKRADAR_HAVE_CRC32_PCLMUL)
+#define BR_PCLMUL_TARGET __attribute__((target("pclmul,sse4.1")))
+
+BR_PCLMUL_TARGET inline __m128i load128(const std::uint8_t* p) noexcept {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// a * k.lo ^ a * k.hi, folded onto the next block b.
+BR_PCLMUL_TARGET inline __m128i fold128(__m128i a, __m128i k,
+                                        __m128i b) noexcept {
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(a, k, 0x00),
+                                       _mm_clmulepi64_si128(a, k, 0x11)),
+                         b);
+}
+
+/// Carry-less multiply folding (Gopal et al., "Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ", Intel 2009), on the raw CRC
+/// register. `n` must be at least 64 and a multiple of 16. Four 128-bit
+/// lanes fold 64 bytes per step, collapse into one lane, fold the 16-byte
+/// remainder blocks, and a Barrett reduction brings 64 bits down to 32.
+/// The constants are the paper's, bit-reflected for P = 0x04C11DB7:
+/// k1/k2 fold across four lanes (x^(4*128+32), x^(4*128-32) mod P),
+/// k3/k4 across one lane (x^(128+32), x^(128-32) mod P), k5 = x^64 mod P,
+/// and P' and mu' = x^64 / P are the Barrett pair.
+BR_PCLMUL_TARGET std::uint32_t crc32_fold_pclmul(std::uint32_t crc,
+                                                 const std::uint8_t* p,
+                                                 std::size_t n) noexcept {
+    const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+    const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+    const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+    const __m128i barrett = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+    const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+
+    __m128i x1 =
+        _mm_xor_si128(load128(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
+    __m128i x2 = load128(p + 16);
+    __m128i x3 = load128(p + 32);
+    __m128i x4 = load128(p + 48);
+    p += 64;
+    n -= 64;
+    for (; n >= 64; p += 64, n -= 64) {
+        x1 = fold128(x1, k1k2, load128(p));
+        x2 = fold128(x2, k1k2, load128(p + 16));
+        x3 = fold128(x3, k1k2, load128(p + 32));
+        x4 = fold128(x4, k1k2, load128(p + 48));
+    }
+    x1 = fold128(x1, k3k4, x2);
+    x1 = fold128(x1, k3k4, x3);
+    x1 = fold128(x1, k3k4, x4);
+    for (; n >= 16; p += 16, n -= 16) x1 = fold128(x1, k3k4, load128(p));
+
+    // 128 -> 64 bits, then 64 -> 32 through k5.
+    __m128i x = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                              _mm_clmulepi64_si128(x1, k3k4, 0x10));
+    x = _mm_xor_si128(
+        _mm_clmulepi64_si128(_mm_and_si128(x, low32), k5, 0x00),
+        _mm_srli_si128(x, 4));
+    // Barrett reduction to the 32-bit remainder.
+    __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x, low32), barrett, 0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), barrett, 0x00);
+    return static_cast<std::uint32_t>(
+        _mm_extract_epi32(_mm_xor_si128(x, t), 1));
+}
+
+#undef BR_PCLMUL_TARGET
+
+std::uint32_t crc32_pclmul_impl(std::span<const std::uint8_t> data) noexcept {
+    const std::uint8_t* p = data.data();
+    std::size_t n = data.size();
+    std::uint32_t c = 0xFFFFFFFFu;
+    if (n >= 64) {
+        const std::size_t folded = n & ~static_cast<std::size_t>(15);
+        c = crc32_fold_pclmul(c, p, folded);
+        p += folded;
+        n -= folded;
+    }
+    return crc32_update_sliced(c, p, n) ^ 0xFFFFFFFFu;
+}
+#endif
+
+}  // namespace
+
+namespace detail {
+
+std::uint32_t crc32_slicing8(std::span<const std::uint8_t> data) noexcept {
+    return crc32_update_sliced(0xFFFFFFFFu, data.data(), data.size()) ^
+           0xFFFFFFFFu;
+}
+
+Crc32Fn crc32_pclmul() noexcept {
+#if defined(BLINKRADAR_HAVE_CRC32_PCLMUL)
+    static const bool supported = __builtin_cpu_supports("pclmul") &&
+                                  __builtin_cpu_supports("sse4.1");
+    return supported ? &crc32_pclmul_impl : nullptr;
+#else
+    return nullptr;
+#endif
+}
+
+}  // namespace detail
+
+std::uint32_t crc32(std::span<const std::uint8_t> data) {
+    // Picked once per process, like the dsp KernelTable backends; both
+    // backends produce the same value for every input.
+    static const detail::Crc32Fn backend = [] {
+        const detail::Crc32Fn pclmul = detail::crc32_pclmul();
+        return pclmul != nullptr ? pclmul : &detail::crc32_slicing8;
+    }();
+    return backend(data);
 }
 
 std::string tag_name(std::uint32_t tag) {
@@ -276,16 +390,21 @@ void StateWriter::write_complex_planes(std::span<const double> re,
                                        std::span<const double> im) {
     BR_EXPECTS(re.size() == im.size());
     write_u64(re.size());
-    // Interleave while appending: same wire bytes as write_complex_span
-    // on the equivalent interleaved signal.
-    buf_.reserve(buf_.size() + re.size() * 2 * sizeof(double));
-    for (std::size_t j = 0; j < re.size(); ++j) {
-        if constexpr (std::endian::native == std::endian::little) {
-            const auto* pr = reinterpret_cast<const std::uint8_t*>(&re[j]);
-            const auto* pi = reinterpret_cast<const std::uint8_t*>(&im[j]);
-            buf_.insert(buf_.end(), pr, pr + sizeof(double));
-            buf_.insert(buf_.end(), pi, pi + sizeof(double));
-        } else {
+    // Interleave straight into the grown buffer, in a copy loop the
+    // compiler vectorises: same wire bytes as write_complex_span on the
+    // equivalent interleaved signal.
+    if constexpr (std::endian::native == std::endian::little) {
+        const std::size_t at = buf_.size();
+        const std::size_t bytes = re.size() * 2 * sizeof(double);
+        buf_.reserve(at + bytes);
+        buf_.resize(at + bytes);
+        std::uint8_t* out = buf_.data() + at;
+        for (std::size_t j = 0; j < re.size(); ++j, out += 16) {
+            std::memcpy(out, &re[j], sizeof(double));
+            std::memcpy(out + sizeof(double), &im[j], sizeof(double));
+        }
+    } else {
+        for (std::size_t j = 0; j < re.size(); ++j) {
             write_f64(re[j]);
             write_f64(im[j]);
         }

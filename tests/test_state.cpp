@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #if !defined(_WIN32)
@@ -101,7 +102,7 @@ TEST(StateSnapshot, Crc32MatchesKnownVector) {
 }
 
 TEST(StateSnapshot, Crc32MatchesBytewiseReference) {
-    // Bytewise table CRC-32, the textbook form the sliced routine must
+    // Bytewise table CRC-32, the textbook form every backend must
     // reproduce bit for bit.
     std::uint32_t table[256];
     for (std::uint32_t i = 0; i < 256; ++i) {
@@ -122,14 +123,30 @@ TEST(StateSnapshot, Crc32MatchesBytewiseReference) {
     Rng rng(20261017);
     for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
 
-    // Every start offset mod 8 crossed with every length that ends in
-    // the bytewise tail, a single 8-byte step or several of them.
-    for (std::size_t offset = 0; offset < 8; ++offset)
-        for (std::size_t len = 0; len <= 72; ++len)
-            ASSERT_EQ(state::crc32({buf.data() + offset, len}),
-                      reference(buf.data() + offset, len))
-                << "offset " << offset << ", length " << len;
-    EXPECT_EQ(state::crc32(buf), reference(buf.data(), buf.size()));
+    // Each backend directly (the folding one only where the CPU has
+    // it), plus the dispatcher whichever backend it picked.
+    std::vector<std::pair<const char*, state::detail::Crc32Fn>> backends = {
+        {"slicing8", &state::detail::crc32_slicing8}};
+    if (const state::detail::Crc32Fn pclmul = state::detail::crc32_pclmul())
+        backends.emplace_back("pclmul", pclmul);
+    else
+        std::printf("PCLMULQDQ backend unavailable on this host\n");
+    backends.emplace_back(
+        "dispatch", [](std::span<const std::uint8_t> d) noexcept {
+            return state::crc32(d);
+        });
+
+    // Every start offset mod 16 crossed with every length that ends in
+    // the sliced tail, one 64-byte fold block, several of them, or a
+    // run of 16-byte remainder blocks.
+    for (const auto& [name, crc] : backends) {
+        for (std::size_t offset = 0; offset < 16; ++offset)
+            for (std::size_t len = 0; len <= 256; ++len)
+                ASSERT_EQ(crc({buf.data() + offset, len}),
+                          reference(buf.data() + offset, len))
+                    << name << ", offset " << offset << ", length " << len;
+        EXPECT_EQ(crc(buf), reference(buf.data(), buf.size())) << name;
+    }
 }
 
 TEST(StateSnapshot, SectionsAreNavigableInAnyOrder) {
